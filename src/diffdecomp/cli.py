@@ -29,7 +29,7 @@ from .experiments import (
     sensitivity_rows,
     sve_prior_rows,
 )
-from .fit import FitDivergedError
+from .fit import FitError
 from .params import load_params, save_params
 from .synth import gen_bitemporal, gen_instance
 from .tensorio import TensorFormatError, write_tensor
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     except (ConfigError, TensorFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FitDivergedError as exc:
+    except FitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

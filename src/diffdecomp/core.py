@@ -1,4 +1,4 @@
-"""Field containers, patch partitioning, norms, and the Jacobi SVD kernel.
+"""Field containers, patch partitioning, norms, and the batched patch SVD.
 
 Conventions used throughout the package:
 
@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,13 +26,7 @@ __all__ = [
     "singular_values",
     "singular_values_batch",
     "sigmoid",
-    "JACOBI_TOL",
-    "JACOBI_MAX_SWEEPS",
 ]
-
-# Relative off-diagonal threshold and sweep cap for the one-sided Jacobi SVD.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
 
 
 class ConfigError(ValueError):
@@ -162,17 +155,7 @@ def patch_matrices(x, layout: PatchLayout) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values of a 2-D matrix, descending, by one-sided Jacobi.
-
-    The rotations act on whichever orientation of the matrix has fewer
-    columns, so the implicit Gram matrix being diagonalised is the smaller
-    of the two.  Each sweep visits every column pair once in a fixed
-    round-robin schedule (disjoint pairs of a round rotate together, which
-    is both deterministic and batch-friendly); iteration stops when every
-    off-diagonal Gram entry satisfies
-    ``|g_pq| <= JACOBI_TOL * sqrt(g_pp * g_qq)`` or after
-    ``JACOBI_MAX_SWEEPS`` sweeps.  A zero matrix yields all-zero values.
-    """
+    """Singular values of a 2-D matrix, descending; a zero matrix gives zeros."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ConfigError(f"singular_values: expected a 2-D matrix, got shape {m.shape}")
@@ -180,7 +163,7 @@ def singular_values(m) -> np.ndarray:
 
 
 def singular_values_batch(mats) -> np.ndarray:
-    """Vectorised :func:`singular_values` over a stack of same-shape matrices.
+    """Singular values of a stack of same-shape matrices, by LAPACK.
 
     ``mats`` has shape (batch, rows, cols); the result has shape
     (batch, min(rows, cols)) with each row sorted descending.
@@ -190,77 +173,4 @@ def singular_values_batch(mats) -> np.ndarray:
         raise ConfigError(f"singular_values_batch: expected (batch, rows, cols), got {mats.shape}")
     if not np.all(np.isfinite(mats)):
         raise ConfigError("singular_values_batch: non-finite entries")
-    if mats.shape[2] <= mats.shape[1]:
-        a = mats.copy()
-    else:
-        a = np.ascontiguousarray(mats.transpose(0, 2, 1))
-    n = a.shape[2]
-    # cached squared column norms, updated in closed form per rotation, so a
-    # round needs a single fresh cross-product reduction per pair
-    norms = np.einsum("bij,bij->bj", a, a)
-    for _sweep in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for ps, qs in _pair_rounds(n):
-            ap = a[:, :, ps]
-            aq = a[:, :, qs]
-            gpq = np.einsum("bir,bir->br", ap, aq)
-            gpp = norms[:, ps]
-            gqq = norms[:, qs]
-            # absolute floor keeps denormal cross products of annihilated
-            # (zero-norm) columns from counting as unconverged forever
-            need = np.abs(gpq) > np.maximum(JACOBI_TOL * np.sqrt(gpp * gqq), 1e-300)
-            if not np.any(need):
-                continue
-            rotated = True
-            denom = np.where(need, 2.0 * gpq, 1.0)
-            tau = np.where(need, (gqq - gpp) / denom, 0.0)
-            sgn = np.where(tau < 0.0, -1.0, 1.0)
-            # hypot keeps sqrt(1 + tau^2) finite for the huge tau of
-            # already-nearly-diagonal pairs
-            t = np.where(need, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            c = np.where(need, c, 1.0)
-            s = np.where(need, s, 0.0)
-            cc, ss, cs = c * c, s * s, c * s * gpq
-            # closed-form norm updates can round below zero for annihilated
-            # columns; clamp so the threshold sqrt stays defined
-            norms[:, ps] = np.maximum(cc * gpp - 2.0 * cs + ss * gqq, 0.0)
-            norms[:, qs] = np.maximum(ss * gpp + 2.0 * cs + cc * gqq, 0.0)
-            c = c[:, None, :]
-            s = s[:, None, :]
-            a[:, :, ps] = c * ap - s * aq
-            a[:, :, qs] = s * ap + c * aq
-        if not rotated:
-            break
-    sv = np.sqrt(np.einsum("bij,bij->bj", a, a))
-    sv.sort(axis=1)
-    return np.ascontiguousarray(sv[:, ::-1])
-
-
-@lru_cache(maxsize=None)
-def _pair_rounds(n: int):
-    """Round-robin (circle method) schedule of all column pairs.
-
-    Returns a tuple of rounds; each round is a pair of index arrays (ps, qs)
-    naming mutually disjoint column pairs, so one round can rotate in a
-    single batched operation.  Every unordered pair appears exactly once per
-    sweep.
-    """
-    if n < 2:
-        return ()
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = sorted(
-            (min(players[i], players[m - 1 - i]), max(players[i], players[m - 1 - i]))
-            for i in range(m // 2)
-            if players[i] < n and players[m - 1 - i] < n
-        )
-        if pairs:
-            ps = np.array([p for p, _ in pairs], dtype=np.intp)
-            qs = np.array([q for _, q in pairs], dtype=np.intp)
-            rounds.append((ps, qs))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
+    return np.linalg.svd(mats, compute_uv=False)

@@ -318,7 +318,7 @@ def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
     for i in range(cfg.eval_seeds):
         item = _fetch_instance(cfg, cfg.seed + i)
         dfield, labels, groups = difference_field(item, model.align, bool(cfg.use_align))
-        solver_run = run(dfield, model.solver, patch_groups=groups)
+        solver_run = run(dfield, model.solver)
         fields = [dfield] + [state.c for state in solver_run.states[1:]]
         for step_idx, field in enumerate(fields):
             ent = patch_entropies(field, cfg.patch_side, cfg.epsilon)
@@ -348,8 +348,8 @@ def contraction_rows(cfg: ExperimentConfig, model: ModelParams):
     for i in range(cfg.eval_seeds):
         seed = cfg.seed + i
         item = _fetch_instance(cfg, seed)
-        dfield, _labels, groups = difference_field(item, model.align, bool(cfg.use_align))
-        solver_run = run(dfield, model.solver, patch_groups=groups)
+        dfield, _labels, _groups = difference_field(item, model.align, bool(cfg.use_align))
+        solver_run = run(dfield, model.solver)
         scores = scores_from_residuals(
             [row.res_norm for row in solver_run.trace], frobenius_norm(dfield)
         )
@@ -579,7 +579,7 @@ def run_checks(seed: int = 0, inject: str | None = None):
     record("wavelet_roundtrip", worst_rt < 1e-12, f"max abs error {worst_rt:.3g}")
     record("wavelet_parseval", worst_en < 1e-12, f"max rel energy error {worst_en:.3g}")
 
-    # Jacobi singular values against the symmetric-eigenvalue oracle
+    # singular values against the symmetric-eigenvalue oracle
     worst = 0.0
     for i in range(10):
         m = rng.normals(seed, 920 + i, (4, 36))

@@ -180,21 +180,46 @@ def _parse_lines(text: str) -> dict:
     return table
 
 
+def _finite_floats(name: str, text: str) -> np.ndarray:
+    """The whitespace-separated values of one params entry; all must be finite."""
+    try:
+        values = np.array([float(v) for v in text.split()], dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name}: non-finite value")
+    return values
+
+
 def loads_params(text: str) -> ModelParams:
     table = _parse_lines(text)
     if table.get(FORMAT_KEY) != FORMAT_VALUE:
         raise ConfigError(f"unsupported params format {table.get(FORMAT_KEY)!r}")
-    try:
-        channels = int(table["channels"])
-        steps = int(table["steps"])
-        reduced = int(table["reduced_channels"])
-        patch_side = int(table["patch_side"])
-        epsilon = float(table["epsilon"])
-        memory_bypass = bool(int(table["memory_bypass"]))
-        gate_bypass = bool(int(table.get("gate_bypass", "0")))
-        threshold = float(table["threshold"])
-    except KeyError as exc:
-        raise ConfigError(f"params file is missing key {exc}") from exc
+
+    def get_scalar(name):
+        if name not in table:
+            raise ConfigError(f"params file is missing {name}")
+        value = _finite_floats(name, table[name])
+        if value.size != 1:
+            raise ConfigError(f"{name}: expected one value, got {value.size}")
+        return float(value[0])
+
+    def get_int(name, default=None):
+        if name not in table and default is None:
+            raise ConfigError(f"params file is missing {name}")
+        try:
+            return int(table.get(name, default))
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+
+    channels = get_int("channels")
+    steps = get_int("steps")
+    reduced = get_int("reduced_channels")
+    patch_side = get_int("patch_side")
+    memory_bypass = bool(get_int("memory_bypass"))
+    gate_bypass = bool(get_int("gate_bypass", "0"))
+    epsilon = get_scalar("epsilon")
+    threshold = get_scalar("threshold")
     d = channels
     shapes = {
         "alpha": (steps,),
@@ -220,16 +245,11 @@ def loads_params(text: str) -> ModelParams:
     def get_array(name):
         if name not in table:
             raise ConfigError(f"params file is missing {name}")
-        flat = np.array([float(v) for v in table[name].split()], dtype=np.float64)
+        flat = _finite_floats(name, table[name])
         want = shapes[name]
         if flat.size != int(np.prod(want)):
             raise ConfigError(f"{name}: expected {int(np.prod(want))} values, got {flat.size}")
         return flat.reshape(want)
-
-    def get_scalar(name):
-        if name not in table:
-            raise ConfigError(f"params file is missing {name}")
-        return float(table[name])
 
     def cell(branch):
         return MemoryCell(

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-__all__ = ["stream", "uniforms", "normals", "uniform_array", "normal_array"]
+__all__ = ["stream", "uniforms", "normals", "uniform_array"]
 
 _U53 = 2.0**-53
 
@@ -68,6 +68,3 @@ def uniform_array(seed: int, stream_id: int, shape, low: float, high: float) -> 
     u = uniforms(seed, stream_id, n)
     return (low + (high - low) * u).reshape(shape)
 
-
-def normal_array(seed: int, stream_id: int, shape, scale: float = 1.0) -> np.ndarray:
-    return scale * normals(seed, stream_id, shape)

@@ -46,8 +46,6 @@ __all__ = [
     "step",
     "run",
     "predict",
-    "trace_columns",
-    "trace_csv",
 ]
 
 _STREAM_PHI_C = 21
@@ -352,56 +350,3 @@ def predict(c_field, head: HeadParams):
     probs = sigmoid(logits)
     return logits, probs, (probs > head.threshold).astype(np.float64)
 
-
-def trace_columns():
-    return [
-        "step",
-        "res_norm",
-        "mu_n",
-        "separation",
-        "sve_changed",
-        "sve_unchanged",
-        "gate_min",
-        "gate_mean",
-        "gate_max",
-        "seg",
-        "rec",
-        "exp",
-        "con",
-        "ssec",
-        "total",
-    ]
-
-
-def trace_csv(trace, seed, config_text: str = "", loss_report=None) -> str:
-    """Render a trace (and optionally a final loss row) as a CSV string."""
-    from .csvio import render_csv
-
-    rows = []
-    for row in trace:
-        rows.append(
-            {
-                "step": row.step,
-                "res_norm": row.res_norm,
-                "mu_n": row.mu_n,
-                "separation": row.separation,
-                "sve_changed": row.sve_changed,
-                "sve_unchanged": row.sve_unchanged,
-                "gate_min": row.gate_min,
-                "gate_mean": row.gate_mean,
-                "gate_max": row.gate_max,
-            }
-        )
-    if loss_report is not None:
-        rows.append(
-            {
-                "step": "loss",
-                "seg": loss_report.seg,
-                "rec": loss_report.rec,
-                "exp": loss_report.exp,
-                "con": loss_report.con,
-                "ssec": loss_report.ssec,
-                "total": loss_report.total,
-            }
-        )
-    return render_csv(trace_columns(), rows, seed, config_text)

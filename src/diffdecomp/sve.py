@@ -85,41 +85,39 @@ def init_gate_params(
 
 
 def normalized_spectrum(sigmas, epsilon: float = 1e-8) -> np.ndarray:
-    """Spectrum normalised to unit mass; (near-)zero mass becomes uniform.
+    """Spectra normalised to unit mass along the last axis; (near-)zero mass becomes uniform.
 
     The uniform fallback is the degenerate-patch convention: an all-zero (or
     epsilon-small) patch is treated as maximally uncertain rather than
     undefined.
     """
     s = np.asarray(sigmas, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ConfigError(f"normalized_spectrum: expected a non-empty vector, got {s.shape}")
+    if s.ndim == 0 or s.shape[-1] == 0:
+        raise ConfigError(f"normalized_spectrum: expected non-empty spectra, got {s.shape}")
     if np.any(s < 0.0):
         raise ConfigError("normalized_spectrum: negative singular value")
-    total = float(np.sum(s))
-    if total <= epsilon:
-        return np.full(s.shape, 1.0 / s.size)
-    return s / total
+    total = np.sum(s, axis=-1, keepdims=True)
+    degenerate = total <= epsilon
+    p = s / np.where(degenerate, 1.0, total)
+    return np.where(degenerate, 1.0 / s.shape[-1], p)
 
 
-def patch_entropy(spectrum, epsilon: float = 1e-8) -> float:
-    """Shannon entropy -sum p * ln(p + epsilon) of a normalised spectrum."""
+def patch_entropy(spectrum, epsilon: float = 1e-8) -> float | np.ndarray:
+    """Shannon entropy -sum p * ln(p + epsilon) along the last axis.
+
+    A single spectrum gives a ``float``, a stack of spectra an array.
+    """
     p = np.asarray(spectrum, dtype=np.float64)
-    return float(-np.sum(p * np.log(p + epsilon)))
+    ent = -np.sum(p * np.log(p + epsilon), axis=-1)
+    return float(ent) if ent.ndim == 0 else ent
 
 
 def patch_entropies(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
     """Per-patch SVE of a field, in raster patch order (length n_patches)."""
     x = as_field(x, "patch_entropies")
     layout = PatchLayout.for_shape(x.shape[1], x.shape[2], patch_side)
-    mats = patch_matrices(x, layout)
-    svs = singular_values_batch(mats)
-    totals = np.sum(svs, axis=1)
-    degenerate = totals <= epsilon
-    safe = np.where(degenerate, 1.0, totals)
-    p = svs / safe[:, None]
-    p[degenerate] = 1.0 / svs.shape[1]
-    return -np.sum(p * np.log(p + epsilon), axis=1)
+    svs = singular_values_batch(patch_matrices(x, layout))
+    return patch_entropy(normalized_spectrum(svs, epsilon), epsilon)
 
 
 def sve_map(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:

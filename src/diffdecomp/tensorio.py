@@ -11,6 +11,7 @@ One tensor per file, little-endian throughout:
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -56,11 +57,16 @@ def read_tensor(path) -> np.ndarray:
         count = 1
         for d in dims:
             count *= d
+        # checked against the file size before the payload buffer exists, so
+        # a forged header cannot make the reader allocate what it claims
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < 8 * count:
+            raise TensorFormatError(f"truncated payload: {left} of {8 * count} bytes")
+        if left > 8 * count:
+            raise TensorFormatError("trailing bytes after payload")
         payload = fh.read(8 * count)
         if len(payload) != 8 * count:
             raise TensorFormatError("truncated payload")
-        if fh.read(1):
-            raise TensorFormatError("trailing bytes after payload")
     out = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     if not np.all(np.isfinite(out)):
         raise TensorFormatError("payload contains non-finite entries")

@@ -82,6 +82,19 @@ def test_bad_replay_is_usage_error(capsys, tmp_path):
     assert code == 1
 
 
+def test_non_finite_fit_is_numerical_failure(capsys, tmp_path, tiny_cfg, monkeypatch):
+    from diffdecomp import cli
+    from diffdecomp.fit import FitError
+
+    def diverge(cfg):
+        raise FitError("initial loss is non-finite: nan")
+
+    monkeypatch.setattr(cli, "fit_on_batch", diverge)
+    code = main(["fit", "--seed", "0", "--config", tiny_cfg, "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert "numerical failure: initial loss is non-finite" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ check
 
 

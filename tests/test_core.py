@@ -1,4 +1,4 @@
-"""Tensor helpers, patch partitioning, and the Jacobi singular-value kernel.
+"""Tensor helpers, patch partitioning, and the batched singular-value kernel.
 
 The SVD tests compare against an independent oracle: square roots of the
 eigenvalues of the Gram matrix from numpy's symmetric solver.

@@ -107,6 +107,29 @@ def test_wrong_array_length_rejected():
         loads_params("\n".join(lines))
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("gate_scale", "nan"),
+        ("head_bias", "inf"),
+        ("epsilon", "-inf"),
+        ("threshold", "nan"),
+        ("alpha", "nan"),
+        ("beta", "-inf"),
+        ("head_weights", "0.5 inf"),
+        ("channels", "nan"),
+    ],
+)
+def test_non_finite_value_rejected(name, value):
+    params = init_model_params(channels=2, steps=1, reduced_channels=2, patch_side=4)
+    lines = [
+        (f"{name} = {value}" if line.split("=")[0].strip() == name else line)
+        for line in dumps_params(params).splitlines()
+    ]
+    with pytest.raises(ConfigError, match=name):
+        loads_params("\n".join(lines))
+
+
 def test_unsupported_format_rejected():
     with pytest.raises(ConfigError, match="format"):
         loads_params("format = something-else-9\n")

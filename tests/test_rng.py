@@ -65,10 +65,6 @@ def test_uniform_array_bounds():
     assert np.all(x >= -0.25) and np.all(x < 0.25)
 
 
-def test_normal_array_scale():
-    assert np.array_equal(rng.normal_array(5, 5, 10, scale=3.0), 3.0 * rng.normals(5, 5, 10))
-
-
 @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (2**64, 0), (0, -3), (0, 2**64)])
 def test_stream_rejects_out_of_range(seed, stream_id):
     with pytest.raises(ValueError):

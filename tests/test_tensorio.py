@@ -1,6 +1,7 @@
 """Binary tensor file round-trips and format validation."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ def test_rejects_truncated_payload(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(TensorFormatError):
         read_tensor(path)
+
+
+def test_forged_header_fails_before_allocating(tmp_path):
+    # the header claims 8 x 1024 x 1024 values (64 MiB); the file holds 20 bytes
+    path = tmp_path / "forged.pufd"
+    path.write_bytes(
+        struct.pack("<4sHB", MAGIC, 1, 3) + struct.pack("<3I", 8, 1024, 1024) + bytes(20)
+    )
+    assert path.stat().st_size == 39
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorFormatError, match="truncated payload"):
+            read_tensor(path)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_rejects_trailing_bytes(tmp_path):

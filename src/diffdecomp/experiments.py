@@ -9,6 +9,7 @@ are pure functions of the config.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 from statistics import median
 
@@ -114,13 +115,16 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         current = getattr(defaults, key)
         try:
             if isinstance(current, int):
-                kwargs[key] = int(raw)
+                value = int(raw)
             elif isinstance(current, float):
-                kwargs[key] = float(raw)
+                value = float(raw)
             else:
-                kwargs[key] = str(raw)
+                value = str(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r}: {raw!r} is not finite")
+        kwargs[key] = value
     cfg = ExperimentConfig(**kwargs)
     _validate_config(cfg)
     return cfg
@@ -135,9 +139,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"band ({cfg.band_lo}, {cfg.band_hi}) is inverted")
     if cfg.lam_rec != "auto":
         try:
-            float(cfg.lam_rec)
+            lam_rec = float(cfg.lam_rec)
         except ValueError as exc:
             raise ConfigError(f"lam_rec must be 'auto' or a number, got {cfg.lam_rec!r}") from exc
+        if not math.isfinite(lam_rec):
+            raise ConfigError(f"config key 'lam_rec': {cfg.lam_rec!r} is not finite")
     parse_rectangles(cfg.rectangles)
 
 
@@ -174,7 +180,10 @@ def parse_rectangles(text: str):
         values = [v.strip() for v in part.split(",")]
         if len(values) != 4:
             raise ConfigError(f"rectangle {part!r} is not 'row,col,height,width'")
-        rects.append(tuple(int(v) for v in values))
+        try:
+            rects.append(tuple(int(v) for v in values))
+        except ValueError as exc:
+            raise ConfigError(f"rectangle {part!r} has a non-integer entry") from exc
     return tuple(rects)
 
 
@@ -239,6 +248,12 @@ def _fetch_instance(cfg: ExperimentConfig, seed: int):
     return ("instance", gen_instance(spec))
 
 
+def _patch_groups(item):
+    """(changed, unchanged) patch index sets of a generated item."""
+    payload = item[1]
+    return payload.changed_patches, payload.unchanged_patches
+
+
 def difference_field(item, align: AlignParams, use_align: bool):
     """(dfield, labels, patch groups) for a generated item.
 
@@ -246,14 +261,15 @@ def difference_field(item, align: AlignParams, use_align: bool):
     aligned (unless disabled) and differenced.
     """
     kind, payload = item
+    groups = _patch_groups(item)
     if kind == "instance":
-        return payload.dfield, payload.labels, (payload.changed_patches, payload.unchanged_patches)
+        return payload.dfield, payload.labels, groups
     pair = payload
     if use_align:
         f1, f2 = suppress_pair(pair.f1, pair.f2, align)
     else:
         f1, f2 = pair.f1, pair.f2
-    return f2 - f1, pair.labels, (pair.changed_patches, pair.unchanged_patches)
+    return f2 - f1, pair.labels, groups
 
 
 def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: StageConfig):
@@ -402,11 +418,16 @@ def replay_rows(scores):
 
 
 def _eval_fitted(cfg: ExperimentConfig, fitted: ModelParams, stage: StageConfig):
-    """Mean metrics of a fitted bundle over the eval seed range."""
-    losses, f1s, mus, seps, outside = [], [], [], [], 0
+    """Mean metrics of a fitted bundle over the eval seed range.
+
+    The last entry lists, per eval seed, the final change estimate and the
+    item's (changed, unchanged) patch groups, for :func:`_mean_end_gap`.
+    """
+    losses, f1s, mus, seps, outside, ends = [], [], [], [], 0, []
     for i in range(cfg.eval_seeds):
         item = _fetch_instance(cfg, cfg.seed + i)
         _run, report, f1 = evaluate_instance(fitted, item, cfg, stage)
+        ends.append((_run.final.c, _patch_groups(item)))
         losses.append(report.total)
         f1s.append(f1)
         mu = nuisance_mean(_run.final.n)
@@ -421,6 +442,7 @@ def _eval_fitted(cfg: ExperimentConfig, fitted: ModelParams, stage: StageConfig)
         sum(mus) / n,
         sum(seps) / n,
         outside / n,
+        ends,
     )
 
 
@@ -435,7 +457,7 @@ def ablation_rows(cfg: ExperimentConfig):
                 )
                 stage = make_stage(variant)
                 result = fit_on_batch(variant)
-                loss, f1, mu, sep, outside = _eval_fitted(variant, result.params, stage)
+                loss, f1, mu, sep, outside, _ends = _eval_fitted(variant, result.params, stage)
                 rows.append(
                     {
                         "gating": gating,
@@ -466,8 +488,8 @@ def ksweep_rows(cfg: ExperimentConfig):
             fitted = make_model(variant)
         else:
             fitted = fit_on_batch(variant).params
-        loss, f1, _mu, _sep, _outside = _eval_fitted(variant, fitted, stage)
-        gap = _mean_end_gap(variant, fitted)
+        loss, f1, _mu, _sep, _outside, ends = _eval_fitted(variant, fitted, stage)
+        gap = _mean_end_gap(variant, ends)
         rows.append(
             {
                 "k_steps": k,
@@ -480,16 +502,17 @@ def ksweep_rows(cfg: ExperimentConfig):
     return ["k_steps", "loss", "f1", "sve_gap", "cost_units"], rows
 
 
-def _mean_end_gap(cfg: ExperimentConfig, model: ModelParams):
-    """Mean changed-minus-unchanged SVE of the final change estimate."""
+def _mean_end_gap(cfg: ExperimentConfig, ends):
+    """Mean changed-minus-unchanged SVE of the final change estimates.
+
+    ``ends`` holds (final C, patch groups) per eval seed, as returned by
+    :func:`_eval_fitted`; seeds with an empty group are skipped.
+    """
     gaps = []
-    for i in range(cfg.eval_seeds):
-        item = _fetch_instance(cfg, cfg.seed + i)
-        dfield, _labels, groups = difference_field(item, model.align, bool(cfg.use_align))
+    for c, groups in ends:
         if not groups[0] or not groups[1]:
             continue
-        solver_run = run(dfield, model.solver)
-        ent = patch_entropies(solver_run.final.c, cfg.patch_side, cfg.epsilon)
+        ent = patch_entropies(c, cfg.patch_side, cfg.epsilon)
         gaps.append(float(np.mean(ent[list(groups[0])]) - np.mean(ent[list(groups[1])])))
     return sum(gaps) / len(gaps) if gaps else None
 
@@ -501,7 +524,7 @@ def sensitivity_rows(cfg: ExperimentConfig):
     def score(variant: ExperimentConfig):
         stage = make_stage(variant)
         result = fit_on_batch(variant)
-        loss, f1, _mu, _sep, _outside = _eval_fitted(variant, result.params, stage)
+        loss, f1, _mu, _sep, _outside, _ends = _eval_fitted(variant, result.params, stage)
         return loss, f1
 
     for m in MARGIN_GRID:

@@ -224,13 +224,19 @@ def conv3x3_reflect(x, weights) -> np.ndarray:
         raise ConfigError(f"conv expects {w.shape[1]} input channels, field has {x.shape[0]}")
     if x.shape[1] < 2 or x.shape[2] < 2:
         raise ConfigError("conv3x3_reflect needs height and width >= 2")
+    d_in, h, width = x.shape
     d_out = w.shape[0]
-    h, width = x.shape[1], x.shape[2]
     pad = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="reflect")
-    win = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), axis=(1, 2))
-    col = win.transpose(1, 2, 0, 3, 4).reshape(h * width, x.shape[0] * 9)
-    out = col @ w.reshape(d_out, x.shape[0] * 9).T
-    return np.ascontiguousarray(out.T.reshape(d_out, h, width))
+    # One GEMM applies every tap to the whole padded grid; tap (a, b) then
+    # contributes its grid shifted by (a, b).
+    taps = w.transpose(2, 3, 0, 1).reshape(9 * d_out, d_in) @ pad.reshape(d_in, -1)
+    taps = taps.reshape(3, 3, d_out, h + 2, width + 2)
+    out = taps[0, 0, :, :h, :width].copy()
+    for a in range(3):
+        for b in range(3):
+            if a or b:
+                out += taps[a, b, :, a : a + h, b : b + width]
+    return out
 
 
 def channel_map(w, x) -> np.ndarray:
@@ -244,8 +250,10 @@ def channel_map(w, x) -> np.ndarray:
 def memory_update(x, h, cell: MemoryCell) -> np.ndarray:
     """One gated-recurrence update (see :class:`MemoryCell`)."""
     xh = np.concatenate([x, h], axis=0)
-    z = sigmoid(channel_map(cell.w_z, xh) + cell.b_z[:, None, None])
-    r = sigmoid(channel_map(cell.w_r, xh) + cell.b_r[:, None, None])
+    # Both gates read [x, h]: one map and one sigmoid, then split.
+    w_zr = np.concatenate([cell.w_z, cell.w_r])
+    b_zr = np.concatenate([cell.b_z, cell.b_r])
+    z, r = np.split(sigmoid(channel_map(w_zr, xh) + b_zr[:, None, None]), 2)
     xrh = np.concatenate([x, r * h], axis=0)
     cand = np.tanh(channel_map(cell.w_c, xrh) + cell.b_c[:, None, None])
     return (1.0 - z) * h + z * cand
@@ -266,8 +274,8 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
     k = int(k)
     residual = dfield - (state.c + state.n)
     stacked = np.concatenate([state.c, state.n, residual], axis=0)
-    draft_c = conv3x3_reflect(stacked, params.phi_c)
-    draft_n = conv3x3_reflect(stacked, params.phi_n)
+    phi = np.concatenate([params.phi_c, params.phi_n])
+    draft_c, draft_n = np.split(conv3x3_reflect(stacked, phi), 2)
     update_c = params.alpha[k] * draft_c
     update_n = params.beta[k] * draft_n
     inject_c = params.gamma[k] * channel_map(params.psi_c, residual)

@@ -67,6 +67,16 @@ def test_bad_config_key(capsys, tmp_path):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_bad_rectangle_is_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("rectangles = 0,0,a,4\n")
+    code = main(["gen", "--seed", "0", "--config", str(bad), "--out", str(tmp_path / "g")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'0,0,a,4'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sve_prior_requires_params(capsys, tmp_path, tiny_cfg):
     code = main(
         ["sve-prior", "--seed", "0", "--config", tiny_cfg, "--out", str(tmp_path / "x.csv")]

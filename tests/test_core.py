@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from diffdecomp.core import (
     ConfigError,
     PatchLayout,
@@ -62,6 +63,19 @@ def test_sigmoid_extremes_are_finite():
     assert np.all(np.isfinite(v))
     assert v[2] == 0.5
     assert v[0] >= 0.0 and v[-1] <= 1.0
+
+
+def test_sigmoid_equals_oracle(rng):
+    special = np.array([-1e4, 1e4, -50.0, 50.0, -0.0, 0.0])
+    for z in (special, rng.normal(0.0, 20.0, 1000), rng.normal(0.0, 3.0, (3, 7, 5))):
+        assert np.array_equal(sigmoid(z), oracles.stable_sigmoid(z))
+
+
+def test_sigmoid_zero_dim_returns_float():
+    for z in (0.0, -0.0, 2.5, np.float64(-7.0), np.array(1e4)):
+        v = sigmoid(z)
+        assert type(v) is float
+        assert v == float(oracles.stable_sigmoid(np.array([z]))[0])
 
 
 # ------------------------------------------------------------------ patches

@@ -77,6 +77,21 @@ def test_mapping_validates_semantics():
         config_from_mapping({"lam_rec": "soft"})
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("learning_rate", "nan"),
+        ("step_size", "inf"),
+        ("change_amplitude", "-inf"),
+        ("noise_sigma", "NaN"),
+        ("lam_rec", "inf"),
+    ],
+)
+def test_mapping_rejects_non_finite_float(key, raw):
+    with pytest.raises(ConfigError, match=f"{key}.*not finite"):
+        config_from_mapping({key: raw})
+
+
 def test_config_text_round_trip():
     cfg = ExperimentConfig(seed=5, margin=0.2, rectangles="", mode="bitemporal")
     assert parse_config_text(canonical_config_text(cfg)) == cfg
@@ -94,6 +109,8 @@ def test_parse_rectangles():
     assert parse_rectangles(" 1,2,3,4 ; 5,6,7,8 ") == ((1, 2, 3, 4), (5, 6, 7, 8))
     with pytest.raises(ConfigError):
         parse_rectangles("1,2,3,4,5")
+    with pytest.raises(ConfigError, match="'0,0,a,4'"):
+        parse_rectangles("1,2,3,4;0,0,a,4")
 
 
 def test_resolve_lam_rec():

@@ -57,11 +57,13 @@ def random_state(rng, channels, h, w):
 
 
 def test_conv3x3_matches_window_sums(rng):
-    x = rng.normal(0.0, 1.0, (3, 6, 7))
-    w = rng.normal(0.0, 1.0, (2, 3, 3, 3))
-    got = conv3x3_reflect(x, w)
-    want = oracles.conv3x3_window_sums(x, w)
-    assert np.max(np.abs(got - want)) < 1e-13
+    for shape in [(3, 6, 7), (1, 2, 2), (2, 2, 5), (3, 7, 2), (24, 16, 16)]:
+        x = rng.normal(0.0, 1.0, shape)
+        w = rng.normal(0.0, 1.0, (2, shape[0], 3, 3))
+        got = conv3x3_reflect(x, w)
+        want = oracles.conv3x3_window_sums(x, w)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_conv3x3_identity_kernel(rng):
@@ -114,6 +116,22 @@ def test_memory_update_hand_check():
     want = (1.0 - z) * 0.5 + z * cand
     got = memory_update(x, h, cell)
     assert abs(float(got[0, 0, 0]) - want) < 1e-15
+
+
+def test_memory_update_matches_gru_oracle(rng):
+    for channels in (1, 2, 4):
+        cell = MemoryCell(
+            w_z=rng.normal(0.0, 0.5, (channels, 2 * channels)),
+            b_z=rng.normal(0.0, 1.0, channels),
+            w_r=rng.normal(0.0, 0.5, (channels, 2 * channels)),
+            b_r=rng.normal(0.0, 1.0, channels),
+            w_c=rng.normal(0.0, 0.5, (channels, 2 * channels)),
+            b_c=rng.normal(0.0, 0.3, channels),
+        )
+        x = rng.normal(0.0, 1.0, (channels, 6, 5))
+        h = rng.normal(0.0, 1.0, (channels, 6, 5))
+        want = oracles.gru_oracle(x, h, cell)
+        assert np.max(np.abs(memory_update(x, h, cell) - want)) < 1e-14
 
 
 def test_memory_near_passthrough_init(rng):
@@ -194,6 +212,19 @@ def test_memory_bypass_keeps_provisional_states(rng):
     want_n = state.n + params.beta[0] * conv3x3_reflect(stacked, params.phi_n)
     assert np.array_equal(new_state.mem_c, want_c)
     assert np.array_equal(new_state.mem_n, want_n)
+
+
+def test_step_drafts_equal_one_conv_per_branch(rng):
+    params = random_params(rng, 3, steps=2, patch_side=4, seed=6)
+    dfield = rng.normal(0.0, 1.0, (3, 8, 8))
+    state = random_state(rng, 3, 8, 8)
+    residual = dfield - (state.c + state.n)
+    stacked = np.concatenate([state.c, state.n, residual], axis=0)
+    new_state, _gate = step(dfield, state, params, 1)
+    prov_c = state.c + params.alpha[1] * conv3x3_reflect(stacked, params.phi_c)
+    prov_n = state.n + params.beta[1] * conv3x3_reflect(stacked, params.phi_n)
+    assert np.array_equal(new_state.mem_c, memory_update(prov_c, state.mem_c, params.mem_c))
+    assert np.array_equal(new_state.mem_n, memory_update(prov_n, state.mem_n, params.mem_n))
 
 
 def test_gate_bypass_uses_unit_gate(rng):

@@ -18,6 +18,7 @@ from .convergence import (
 )
 from .core import (
     ConfigError,
+    NumericalError,
     PatchLayout,
     frobenius_norm,
     patch_matrices,
@@ -85,6 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
+    "NumericalError",
     "PatchLayout",
     "frobenius_norm",
     "patch_matrix",

@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from .core import ConfigError
+from .core import ConfigError, NumericalError
 from .csvio import write_csv
 from .experiments import (
     ExperimentConfig,
@@ -29,7 +29,6 @@ from .experiments import (
     sensitivity_rows,
     sve_prior_rows,
 )
-from .fit import FitError
 from .params import load_params, save_params
 from .synth import gen_bitemporal, gen_instance
 from .tensorio import TensorFormatError, write_tensor
@@ -213,11 +212,13 @@ def _run(args) -> int:
         columns, rows = sve_prior_rows(cfg, model)
     elif args.command == "contraction":
         if args.replay:
+            # float() and the report reject unparsable, empty, negative and
+            # non-finite score lists alike.
             try:
                 scores = [float(v) for v in args.replay.split(",") if v.strip()]
+                columns, rows = replay_rows(scores)
             except ValueError as exc:
-                raise UsageError(f"bad --replay value: {args.replay!r}") from exc
-            columns, rows = replay_rows(scores)
+                raise UsageError(f"bad --replay value {args.replay!r}: {exc}") from exc
         else:
             model = _load_fitted(args.params)
             columns, rows = contraction_rows(cfg, model)
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     except (ConfigError, TensorFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FitError as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -73,6 +73,8 @@ def contraction_report(scores, epsilon: float = SCORE_EPS) -> ContractionReport:
     r = [float(s) for s in scores]
     if len(r) < 1:
         raise ValueError("contraction_report needs at least one score")
+    if not all(np.isfinite(r)):
+        raise ValueError("scores must be finite")
     if any(s < 0.0 for s in r):
         raise ValueError("scores must be non-negative")
     ratios = tuple(

@@ -17,7 +17,9 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "NumericalError",
     "PatchLayout",
+    "field_shape",
     "as_field",
     "as_plane",
     "frobenius_norm",
@@ -33,13 +35,26 @@ class ConfigError(ValueError):
     """A shape, layout, or parameter setting is inconsistent."""
 
 
-def as_field(x, name: str = "field") -> np.ndarray:
-    """Validate ``x`` as a (channels, H, W) float64 feature field."""
+class NumericalError(RuntimeError):
+    """A computation on finite inputs produced non-finite values."""
+
+
+def field_shape(x, name: str = "field") -> np.ndarray:
+    """``x`` as a float64 array of shape (channels, H, W), no dimension empty.
+
+    The entries are not scanned; :func:`as_field` adds that check.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 3:
         raise ConfigError(f"{name}: expected (channels, H, W), got shape {arr.shape}")
     if min(arr.shape) < 1:
         raise ConfigError(f"{name}: empty dimension in shape {arr.shape}")
+    return arr
+
+
+def as_field(x, name: str = "field") -> np.ndarray:
+    """Validate ``x`` as a (channels, H, W) float64 feature field."""
+    arr = field_shape(x, name)
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name}: non-finite entries")
     return arr
@@ -116,6 +131,18 @@ class PatchLayout:
         p = self.patch_side
         return slice(r * p, (r + 1) * p), slice(c * p, (c + 1) * p)
 
+    def tiles(self, x: np.ndarray) -> np.ndarray:
+        """All patch matrices of a (channels, H, W) array on this grid.
+
+        Shape (n_patches, channels, patch_side**2); the caller has checked
+        that the grid matches.  The patches tile the field, so the result
+        holds every entry of ``x`` exactly once.
+        """
+        d = x.shape[0]
+        p = self.patch_side
+        t = x.reshape(d, self.rows, p, self.cols, p).transpose(1, 3, 0, 2, 4)
+        return np.ascontiguousarray(t.reshape(self.n_patches, d, p * p))
+
 
 def _check_layout(x: np.ndarray, layout: PatchLayout, name: str) -> None:
     h, w = x.shape[1], x.shape[2]
@@ -144,11 +171,7 @@ def patch_matrices(x, layout: PatchLayout) -> np.ndarray:
     """
     x = as_field(x)
     _check_layout(x, layout, "patch_matrices")
-    d = x.shape[0]
-    p = layout.patch_side
-    t = x.reshape(d, layout.rows, p, layout.cols, p)
-    t = t.transpose(1, 3, 0, 2, 4)
-    return np.ascontiguousarray(t.reshape(layout.n_patches, d, p * p))
+    return layout.tiles(x)
 
 
 def singular_values(m) -> np.ndarray:

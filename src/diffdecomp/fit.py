@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, NumericalError
 from .objective import LossReport
 from .params import ModelParams, _leaves, copy_params
 
@@ -52,7 +52,7 @@ PARAMETER_GROUPS = {
 }
 
 
-class FitError(RuntimeError):
+class FitError(NumericalError):
     """A loss or gradient evaluation produced a non-finite value."""
 
 

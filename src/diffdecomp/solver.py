@@ -21,11 +21,12 @@ everything else is shared across steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rng
-from .core import ConfigError, as_field, as_plane, frobenius_norm, sigmoid
+from .core import ConfigError, NumericalError, as_field, frobenius_norm, sigmoid
 from .objective import nuisance_mean, separation
 from .sve import GateParams, gate_map, init_gate_params, patch_entropies
 
@@ -136,16 +137,30 @@ class SolverRun:
 
     ``states[k]`` is the (C, N) pair after k steps (index 0 = initial state);
     ``gates[k]`` is the gate plane used in step k; ``trace`` has one row per
-    state.
+    state.  The trace is computed on first read from the states, the gates
+    and the values the run recorded: the input field ``dfield``, the gate's
+    ``patch_side`` and ``epsilon`` at run time, and ``patch_groups``.  A run
+    whose trace is never read pays nothing for it.
     """
 
     states: tuple
     gates: tuple
-    trace: tuple
+    dfield: np.ndarray
+    patch_side: int
+    epsilon: float
+    patch_groups: tuple | None = None
 
     @property
     def final(self) -> SolverState:
         return self.states[-1]
+
+    @cached_property
+    def trace(self) -> tuple:
+        return tuple(
+            _trace_row(self.dfield, state, k, self.patch_side, self.epsilon,
+                       self.patch_groups, self.gates[k - 1] if k else None)
+            for k, state in enumerate(self.states)
+        )
 
 
 def init_memory_cell(channels: int) -> MemoryCell:
@@ -226,7 +241,14 @@ def conv3x3_reflect(x, weights) -> np.ndarray:
         raise ConfigError("conv3x3_reflect needs height and width >= 2")
     d_in, h, width = x.shape
     d_out = w.shape[0]
-    pad = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+    # The mirror pad by copies: rows first, then whole columns, so the
+    # corners mirror the mirrored rows as numpy's pad does.
+    pad = np.empty((d_in, h + 2, width + 2))
+    pad[:, 1:-1, 1:-1] = x
+    pad[:, 0, 1:-1] = x[:, 1]
+    pad[:, -1, 1:-1] = x[:, -2]
+    pad[:, :, 0] = pad[:, :, 2]
+    pad[:, :, -1] = pad[:, :, -3]
     # One GEMM applies every tap to the whole padded grid; tap (a, b) then
     # contributes its grid shifted by (a, b).
     taps = w.transpose(2, 3, 0, 1).reshape(9 * d_out, d_in) @ pad.reshape(d_in, -1)
@@ -244,7 +266,7 @@ def channel_map(w, x) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != x.shape[0]:
         raise ConfigError(f"channel map {w.shape} does not match {x.shape[0]} channels")
-    return np.tensordot(w, x, axes=([1], [0]))
+    return (w @ x.reshape(x.shape[0], -1)).reshape(w.shape[0], *x.shape[1:])
 
 
 def memory_update(x, h, cell: MemoryCell) -> np.ndarray:
@@ -253,21 +275,30 @@ def memory_update(x, h, cell: MemoryCell) -> np.ndarray:
     # Both gates read [x, h]: one map and one sigmoid, then split.
     w_zr = np.concatenate([cell.w_z, cell.w_r])
     b_zr = np.concatenate([cell.b_z, cell.b_r])
-    z, r = np.split(sigmoid(channel_map(w_zr, xh) + b_zr[:, None, None]), 2)
+    zr = sigmoid(channel_map(w_zr, xh) + b_zr[:, None, None])
+    d = h.shape[0]
+    z, r = zr[:d], zr[d:]
     xrh = np.concatenate([x, r * h], axis=0)
     cand = np.tanh(channel_map(cell.w_c, xrh) + cell.b_c[:, None, None])
     return (1.0 - z) * h + z * cand
 
 
-def init_state(dfield) -> SolverState:
-    """C = 0, N = D, memories = 0."""
-    d = as_field(dfield, "init_state")
+def _initial_state(d: np.ndarray) -> SolverState:
     zero = np.zeros_like(d)
     return SolverState(c=zero.copy(), n=d.copy(), mem_c=zero.copy(), mem_n=zero.copy())
 
 
+def init_state(dfield) -> SolverState:
+    """C = 0, N = D, memories = 0."""
+    return _initial_state(as_field(dfield, "init_state"))
+
+
 def step(dfield, state: SolverState, params: SolverParams, k: int):
-    """One unrolled step; returns (next state, gate plane used)."""
+    """One unrolled step; returns (next state, gate plane used).
+
+    Raises :class:`NumericalError` naming the step when the new C or N has a
+    non-finite entry (an overflow from finite inputs).
+    """
     dfield = as_field(dfield, "step")
     if not 0 <= int(k) < params.steps:
         raise ConfigError(f"step index {k} out of range [0, {params.steps})")
@@ -275,7 +306,9 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
     residual = dfield - (state.c + state.n)
     stacked = np.concatenate([state.c, state.n, residual], axis=0)
     phi = np.concatenate([params.phi_c, params.phi_n])
-    draft_c, draft_n = np.split(conv3x3_reflect(stacked, phi), 2)
+    drafts = conv3x3_reflect(stacked, phi)
+    d = dfield.shape[0]
+    draft_c, draft_n = drafts[:d], drafts[d:]
     update_c = params.alpha[k] * draft_c
     update_n = params.beta[k] * draft_n
     inject_c = params.gamma[k] * channel_map(params.psi_c, residual)
@@ -293,6 +326,9 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
         gate = gate_map(residual, params.gate)
     new_c = mem_c + gate[None, :, :] * inject_c
     new_n = mem_n + gate[None, :, :] * inject_n
+    # One scan: the sum is non-finite when either term is.
+    if not np.all(np.isfinite(new_c + new_n)):
+        raise NumericalError(f"step {k}: non-finite change or nuisance estimate")
     return SolverState(c=new_c, n=new_n, mem_c=mem_c, mem_n=mem_n), gate
 
 
@@ -302,11 +338,11 @@ def _group_mean(values: np.ndarray, indices) -> float | None:
     return float(np.mean(values[np.asarray(indices, dtype=int)]))
 
 
-def _trace_row(dfield, state, k, params, patch_groups, gate) -> TraceRow:
+def _trace_row(dfield, state, k, patch_side, epsilon, patch_groups, gate) -> TraceRow:
     res = frobenius_norm(dfield - (state.c + state.n))
     sve_ch = sve_un = None
     if patch_groups is not None:
-        ent = patch_entropies(state.c, params.gate.patch_side, params.gate.epsilon)
+        ent = patch_entropies(state.c, patch_side, epsilon)
         sve_ch = _group_mean(ent, patch_groups[0])
         sve_un = _group_mean(ent, patch_groups[1])
     gmin = gmean = gmax = None
@@ -336,16 +372,23 @@ def run(dfield, params: SolverParams, patch_groups=None) -> SolverRun:
         raise ConfigError(
             f"params built for {params.channels} channels, field has {dfield.shape[0]}"
         )
-    state = init_state(dfield)
+    state = _initial_state(dfield)
     states = [state]
     gates = []
-    trace = [_trace_row(dfield, state, 0, params, patch_groups, None)]
     for k in range(params.steps):
         state, gate = step(dfield, state, params, k)
         states.append(state)
         gates.append(gate)
-        trace.append(_trace_row(dfield, state, k + 1, params, patch_groups, gate))
-    return SolverRun(states=tuple(states), gates=tuple(gates), trace=tuple(trace))
+    # The initial nuisance is the run's own copy of D: the trace reads it,
+    # not the caller's array, which may change before the trace is read.
+    return SolverRun(
+        states=tuple(states),
+        gates=tuple(gates),
+        dfield=states[0].n,
+        patch_side=params.gate.patch_side,
+        epsilon=params.gate.epsilon,
+        patch_groups=patch_groups,
+    )
 
 
 def predict(c_field, head: HeadParams):

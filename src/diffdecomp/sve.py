@@ -17,7 +17,7 @@ from .core import (
     ConfigError,
     PatchLayout,
     as_field,
-    patch_matrices,
+    field_shape,
     sigmoid,
     singular_values_batch,
 )
@@ -113,10 +113,14 @@ def patch_entropy(spectrum, epsilon: float = 1e-8) -> float | np.ndarray:
 
 
 def patch_entropies(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
-    """Per-patch SVE of a field, in raster patch order (length n_patches)."""
-    x = as_field(x, "patch_entropies")
+    """Per-patch SVE of a field, in raster patch order (length n_patches).
+
+    Non-finite entries fail the input check of the batched SVD: the patches
+    tile the field, so that check scans every entry once.
+    """
+    x = field_shape(x, "patch_entropies")
     layout = PatchLayout.for_shape(x.shape[1], x.shape[2], patch_side)
-    svs = singular_values_batch(patch_matrices(x, layout))
+    svs = singular_values_batch(layout.tiles(x))
     return patch_entropy(normalized_spectrum(svs, epsilon), epsilon)
 
 
@@ -126,10 +130,13 @@ def sve_map(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
     Invariant under multiplication of the whole field by any positive scalar
     (the spectrum normalisation cancels scale).
     """
-    x = as_field(x, "sve_map")
+    x = field_shape(x, "sve_map")
+    ent = patch_entropies(x, patch_side, epsilon)
     layout = PatchLayout.for_shape(x.shape[1], x.shape[2], patch_side)
-    ent = patch_entropies(x, patch_side, epsilon).reshape(layout.rows, layout.cols)
-    return np.kron(ent, np.ones((layout.patch_side, layout.patch_side)))
+    p = layout.patch_side
+    blocks = np.empty((layout.rows, p, layout.cols, p))
+    blocks[...] = ent.reshape(layout.rows, 1, layout.cols, 1)
+    return blocks.reshape(layout.rows * p, layout.cols * p)
 
 
 def gate_map(residual, params: GateParams) -> np.ndarray:
@@ -139,6 +146,7 @@ def gate_map(residual, params: GateParams) -> np.ndarray:
         raise ConfigError(
             f"gate reducer expects {params.reducer.shape[1]} channels, field has {r.shape[0]}"
         )
-    reduced = np.tensordot(params.reducer, np.abs(r), axes=([1], [0]))
+    c, h, w = r.shape
+    reduced = (params.reducer @ np.abs(r).reshape(c, h * w)).reshape(-1, h, w)
     s = sve_map(reduced, params.patch_side, params.epsilon)
     return sigmoid(params.scale * s + params.shift)

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import diffdecomp
 import oracles
@@ -281,6 +282,7 @@ def test_criterion_06_consistency_distance():
 # 7. fitted solver contracts the mismatch score
 
 
+@pytest.mark.slow
 def test_criterion_07_contraction_after_fit():
     t0 = time.monotonic()
     model, cfg, fit_seconds = fitted_default_model()
@@ -312,6 +314,7 @@ def test_criterion_07_contraction_after_fit():
 # 8. entropy gap between changed and unchanged patches grows with depth
 
 
+@pytest.mark.slow
 def test_criterion_08_sve_prior():
     model, cfg, _ = fitted_default_model()
     gaps = np.zeros((20, cfg.steps))
@@ -335,6 +338,7 @@ def test_criterion_08_sve_prior():
 # 9. the staged band penalty keeps the nuisance mean inside its band
 
 
+@pytest.mark.slow
 def test_criterion_09_band_keeps_nuisance_in_range():
     lo, hi = 0.05, 0.40
     # fitting pushes the nuisance mean upward without bound here (the

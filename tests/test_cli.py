@@ -92,6 +92,29 @@ def test_bad_replay_is_usage_error(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("replay", ["1,-0.5", ",", "1,nan,0.5", "0.4,inf"])
+def test_invalid_replay_scores_are_usage_errors(capsys, tmp_path, replay):
+    out = tmp_path / "x.csv"
+    code = main(["contraction", "--seed", "0", "--replay", replay, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solver_overflow_is_numerical_failure(capsys, tmp_path):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "channels = 2\nheight = 8\nwidth = 8\npatch_side = 4\nreduced_channels = 2\n"
+        "rectangles = 1,1,3,3\ninstances = 1\niterations = 1\nchange_amplitude = 1e305\n"
+    )
+    code = main(["fit", "--seed", "0", "--config", str(cfg), "--out", str(tmp_path / "m")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step ")
+
+
 def test_non_finite_fit_is_numerical_failure(capsys, tmp_path, tiny_cfg, monkeypatch):
     from diffdecomp import cli
     from diffdecomp.fit import FitError

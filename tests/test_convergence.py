@@ -66,6 +66,12 @@ def test_report_validation():
         contraction_report([0.5, -0.1])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_report_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        contraction_report([1.0, bad, 0.5])
+
+
 def test_single_score_report():
     report = contraction_report([0.3])
     assert report.ratios == () and report.rho is None

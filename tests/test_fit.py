@@ -176,6 +176,7 @@ def test_fit_model_small_objective_decreases():
     assert result.theta.size == 3
 
 
+@pytest.mark.slow
 def test_default_batch_fit_matches_golden():
     golden = json.loads(GOLDEN.read_text())
     cfg = ExperimentConfig(**golden["config"])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from diffdecomp.core import ConfigError, frobenius_norm
+from diffdecomp import solver
+from diffdecomp.core import ConfigError, NumericalError, frobenius_norm
 from diffdecomp.solver import (
     HeadParams,
     MemoryCell,
@@ -66,6 +67,28 @@ def test_conv3x3_matches_window_sums(rng):
         assert np.max(np.abs(got - want)) < 1e-13
 
 
+def pad_reference_conv(x, w):
+    """The conv's GEMM and shifted adds over numpy's own reflect pad."""
+    d_in, h, width = x.shape
+    d_out = w.shape[0]
+    pad = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+    taps = w.transpose(2, 3, 0, 1).reshape(9 * d_out, d_in) @ pad.reshape(d_in, -1)
+    taps = taps.reshape(3, 3, d_out, h + 2, width + 2)
+    out = taps[0, 0, :, :h, :width].copy()
+    for a in range(3):
+        for b in range(3):
+            if a or b:
+                out += taps[a, b, :, a : a + h, b : b + width]
+    return out
+
+
+def test_conv3x3_pad_equals_numpy_reflect(rng):
+    for shape in [(1, 2, 2), (2, 2, 3), (3, 3, 2), (2, 3, 3), (1, 2, 7), (2, 5, 3), (4, 8, 8)]:
+        x = rng.normal(0.0, 1.0, shape)
+        w = rng.normal(0.0, 1.0, (3, shape[0], 3, 3))
+        assert np.array_equal(conv3x3_reflect(x, w), pad_reference_conv(x, w))
+
+
 def test_conv3x3_identity_kernel(rng):
     x = rng.normal(0.0, 1.0, (2, 5, 5))
     w = np.zeros((2, 2, 3, 3))
@@ -97,6 +120,13 @@ def test_channel_map(rng):
     assert np.allclose(channel_map(w, x), np.einsum("oc,chw->ohw", w, x), atol=1e-14)
     with pytest.raises(ConfigError):
         channel_map(np.zeros((2, 4)), x)
+
+
+def test_channel_map_equals_tensordot(rng):
+    for c_in, c_out, h, w in [(1, 1, 2, 2), (3, 2, 4, 5), (8, 4, 16, 16), (24, 8, 3, 7)]:
+        x = rng.normal(0.0, 1.0, (c_in, h, w))
+        wm = rng.normal(0.0, 1.0, (c_out, c_in))
+        assert np.array_equal(channel_map(wm, x), np.tensordot(wm, x, axes=([1], [0])))
 
 
 def test_memory_update_hand_check():
@@ -235,6 +265,15 @@ def test_gate_bypass_uses_unit_gate(rng):
     assert np.array_equal(gate, np.ones((8, 8)))
 
 
+def test_step_overflow_is_numerical_error(rng):
+    params = init_solver_params(2, steps=2, reduced_channels=2, patch_side=4, memory_bypass=True)
+    params.alpha = np.full(2, 1e308)
+    dfield = rng.normal(0.0, 100.0, (2, 8, 8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="step 0"):
+            step(dfield, init_state(dfield), params, 0)
+
+
 def test_step_index_validated(rng):
     params = init_solver_params(2, steps=2, reduced_channels=2, patch_side=4)
     dfield = rng.normal(0.0, 1.0, (2, 8, 8))
@@ -272,6 +311,36 @@ def test_run_trace_consistency(rng):
             assert row.gate_min == float(gate.min())
             assert row.gate_max == float(gate.max())
     assert result.final is result.states[-1]
+
+
+def test_trace_is_built_on_first_read(rng, monkeypatch):
+    calls = []
+    original = solver._trace_row
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_trace_row", counting)
+    params = init_solver_params(2, steps=3, reduced_channels=2, patch_side=4, seed=5)
+    result = run(rng.normal(0.0, 1.0, (2, 8, 8)), params, patch_groups=((0, 1), (2, 3)))
+    assert calls == []
+    trace = result.trace
+    assert calls == [0, 1, 2, 3]
+    assert result.trace is trace
+    assert calls == [0, 1, 2, 3]
+
+
+def test_trace_keeps_run_time_inputs(rng):
+    params = init_solver_params(2, steps=3, reduced_channels=2, patch_side=4, seed=5)
+    dfield = rng.normal(0.0, 1.0, (2, 8, 8))
+    groups = ((0, 1), (2, 3))
+    want = run(dfield, params, patch_groups=groups).trace
+    result = run(dfield, params, patch_groups=groups)
+    params.gate.patch_side = 3  # does not tile 8x8: a trace reading it would raise
+    params.gate.epsilon = 0.5
+    dfield[:] = 0.0
+    assert result.trace == want
 
 
 def test_predict_hand_check():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffdecomp.core import ConfigError
+from diffdecomp.core import ConfigError, sigmoid
+from diffdecomp.solver import channel_map
 from diffdecomp.sve import (
     GateParams,
     gate_map,
@@ -133,6 +134,18 @@ def test_sve_map_rejects_bad_patch():
         sve_map(np.zeros((1, 12, 12)), 8)
 
 
+def test_non_finite_fields_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((2, 8, 8))
+        x[1, 5, 6] = bad
+        with pytest.raises(ConfigError):
+            patch_entropies(x, 4)
+        with pytest.raises(ConfigError):
+            sve_map(x, 4)
+        with pytest.raises(ConfigError):
+            gate_map(x, init_gate_params(2, 2, patch_side=4))
+
+
 # --------------------------------------------------------------------- gate
 
 
@@ -173,6 +186,16 @@ def test_gate_reducer_shape_checked():
     params = init_gate_params(channels=4, reduced_channels=2)
     with pytest.raises(ConfigError):
         gate_map(np.zeros((3, 8, 8)), params)
+
+
+def test_gate_equals_public_composition(rng):
+    for channels, reduced in [(1, 1), (4, 4), (8, 4)]:
+        params = init_gate_params(channels, reduced, patch_side=4, seed=channels)
+        params.scale, params.shift = 1.7, -0.3
+        residual = rng.normal(0.0, 1.0, (channels, 16, 12))
+        reduced_field = channel_map(params.reducer, np.abs(residual))
+        want = sigmoid(params.scale * sve_map(reduced_field, 4, params.epsilon) + params.shift)
+        assert np.array_equal(gate_map(residual, params), want)
 
 
 def test_init_gate_params_seeded_and_bounded():

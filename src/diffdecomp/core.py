@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A computation on finite inputs produced non-finite values."""
+    """A computation on finite inputs produced non-finite values or did not converge."""
 
 
 def field_shape(x, name: str = "field") -> np.ndarray:
@@ -193,4 +193,7 @@ def singular_values_batch(mats) -> np.ndarray:
         raise ConfigError(f"singular_values_batch: expected (batch, rows, cols), got {mats.shape}")
     if not np.all(np.isfinite(mats)):
         raise ConfigError("singular_values_batch: non-finite entries")
-    return np.linalg.svd(mats, compute_uv=False)
+    try:
+        return np.linalg.svd(mats, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular_values_batch: {exc}") from exc

@@ -9,13 +9,14 @@ small bundles, not deep training).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, NumericalError
 from .objective import LossReport
-from .params import ModelParams, _leaves, copy_params
+from .params import LEAVES, ModelParams, replace_leaves
 
 __all__ = [
     "FitConfig",
@@ -30,25 +31,10 @@ __all__ = [
     "fit_model",
 ]
 
+# group -> file keys of its leaves, in file order
 PARAMETER_GROUPS = {
-    "steps": ("alpha", "beta", "gamma"),
-    "coupling": ("phi_c", "phi_n"),
-    "injection": ("psi_c", "psi_n"),
-    "memory": (
-        "mem_c_w_z", "mem_c_w_r", "mem_c_w_c",
-        "mem_n_w_z", "mem_n_w_r", "mem_n_w_c",
-    ),
-    "memory_bias": (
-        "mem_c_b_z", "mem_c_b_r", "mem_c_b_c",
-        "mem_n_b_z", "mem_n_b_r", "mem_n_b_c",
-    ),
-    "gate": ("gate_scale", "gate_shift"),
-    "gate_reducer": ("gate_reducer",),
-    "head": ("head_weights", "head_bias"),
-    "align": (
-        "align_eta_a", "align_eta_h", "align_eta_v", "align_eta_d",
-        "align_psi_a", "align_psi_h", "align_psi_v", "align_psi_d",
-    ),
+    group: tuple(leaf.key for leaf in LEAVES if leaf.group == group)
+    for group in dict.fromkeys(leaf.group for leaf in LEAVES)
 }
 
 
@@ -85,47 +71,33 @@ class FitResult:
         return self.curve[-1]
 
 
-def _selected_leaves(params: ModelParams, groups):
-    names = []
+def _selected_leaves(groups):
     for g in groups:
         if g not in PARAMETER_GROUPS:
             raise ConfigError(f"unknown parameter group {g!r}; know {sorted(PARAMETER_GROUPS)}")
-        names.extend(PARAMETER_GROUPS[g])
-    byname = {leaf[0]: leaf for leaf in _leaves(params)}
-    return [byname[n] for n in names]
+    return [leaf for g in groups for leaf in LEAVES if leaf.group == g]
 
 
 def pack_params(params: ModelParams, groups) -> np.ndarray:
     """Selected groups flattened into one float64 vector (fixed order)."""
-    pieces = []
-    for _name, get, _set, kind in _selected_leaves(params, groups):
-        value = get(params)
-        if kind == "scalar":
-            pieces.append(np.array([float(value)]))
-        else:
-            pieces.append(np.asarray(value, dtype=np.float64).ravel())
-    if not pieces:
-        return np.zeros(0)
-    return np.concatenate(pieces)
+    pieces = (np.asarray(leaf.get(params), dtype=np.float64) for leaf in _selected_leaves(groups))
+    return np.concatenate([np.zeros(0), *map(np.ravel, pieces)])
 
 
 def apply_theta(params: ModelParams, groups, theta) -> ModelParams:
-    """A fresh bundle with the selected groups replaced by ``theta``."""
+    """A new bundle whose selected leaves are fresh values cut from ``theta``."""
     theta = np.asarray(theta, dtype=np.float64)
-    out = copy_params(params)
-    offset = 0
-    for _name, get, set_, kind in _selected_leaves(out, groups):
-        if kind == "scalar":
-            set_(out, float(theta[offset]))
-            offset += 1
-        else:
-            shape = np.asarray(get(out)).shape
-            size = int(np.prod(shape))
-            set_(out, theta[offset : offset + size].reshape(shape).copy())
-            offset += size
-    if offset != theta.size:
-        raise ConfigError(f"theta has {theta.size} entries, selection needs {offset}")
-    return out
+    leaves = _selected_leaves(groups)
+    shapes = [np.shape(leaf.get(params)) for leaf in leaves]
+    sizes = [math.prod(shape) for shape in shapes]
+    if theta.size != sum(sizes):
+        raise ConfigError(f"theta has {theta.size} entries, selection needs {sum(sizes)}")
+    values, offset = [], 0
+    for leaf, shape, size in zip(leaves, shapes, sizes):
+        piece = theta[offset : offset + size]
+        values.append((leaf, float(piece[0]) if shape == () else piece.reshape(shape).copy()))
+        offset += size
+    return replace_leaves(params, values)
 
 
 def fd_gradient(loss_fn, theta, step_size: float = 1e-4) -> np.ndarray:

@@ -86,14 +86,21 @@ def separation(c, n, epsilon: float = 1e-8) -> float:
     """1 - cosine similarity of the flattened fields (epsilon-guarded).
 
     0 for aligned fields, 1 for orthogonal, 2 for anti-aligned; any field
-    paired with an all-zero field scores ~1.
+    paired with an all-zero field scores ~1.  Finite fields too large to
+    square are first divided by their largest magnitude, and the guard then
+    applies to the scaled fields.
     """
     cv = np.asarray(c, dtype=np.float64).ravel()
     nv = np.asarray(n, dtype=np.float64).ravel()
     if cv.shape != nv.shape:
         raise ConfigError(f"separation: sizes {cv.size} and {nv.size} differ")
-    denom = float(np.sqrt(np.sum(cv * cv)) * np.sqrt(np.sum(nv * nv))) + epsilon
-    return float(1.0 - float(np.dot(cv, nv)) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = float(np.sqrt(np.sum(cv * cv)) * np.sqrt(np.sum(nv * nv)))
+        dot = float(np.dot(cv, nv))
+    if not math.isfinite(norms + dot) and np.all(np.isfinite(cv)) and np.all(np.isfinite(nv)):
+        scale = max(float(np.max(np.abs(cv))), float(np.max(np.abs(nv))))
+        return separation(cv / scale, nv / scale, epsilon)
+    return float(1.0 - dot / (norms + epsilon))
 
 
 def nuisance_mean(n) -> float:

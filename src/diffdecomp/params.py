@@ -4,12 +4,18 @@ The on-disk format is one ``name = value`` line per quantity; arrays are
 flattened C-order, entries written with ``repr`` (shortest float64
 round-trip) and separated by single spaces.  Shapes are reconstructed from
 the integer metadata keys, so the file stays flat.
+
+:data:`LEAVES` is the one list of learnable quantities: the file's entries,
+their checks on load, the fit groups and the fit's packing all come from it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +34,9 @@ __all__ = [
     "ModelParams",
     "init_model_params",
     "copy_params",
+    "Leaf",
+    "LEAVES",
+    "replace_leaves",
     "parameter_count",
     "dumps_params",
     "loads_params",
@@ -79,69 +88,71 @@ def copy_params(params: ModelParams) -> ModelParams:
     return copy.deepcopy(params)
 
 
-def _leaves(params: ModelParams):
-    """(name, getter, setter, kind) for every learnable quantity.
+class Leaf(NamedTuple):
+    """One learnable quantity of the bundle.
 
-    kind: "array" or "scalar".  Order is fixed; serialization and the fit's
-    parameter packing both rely on it.
+    ``key`` names it in the params file, ``path`` is its dotted attribute
+    path from :class:`ModelParams`, ``group`` is its fit group, and ``shape``
+    maps (channels, steps, reduced_channels) to its shape; ``()`` marks a
+    scalar, held as a Python float.
+    """
+
+    key: str
+    path: str
+    group: str
+    shape: Callable
+
+    def get(self, params: ModelParams):
+        return reduce(getattr, self.path.split("."), params)
+
+
+_SCALAR, _VECTOR, _SQUARE = (lambda *_: ()), (lambda d, *_: (d,)), (lambda d, *_: (d, d))
+
+# Every learnable quantity, in file order.  Serialization, loading, the fit
+# groups and the fit's parameter packing are all derived from this tuple.
+LEAVES = (
+    *(Leaf(n, f"solver.{n}", "steps", lambda d, k, r: (k,)) for n in ("alpha", "beta", "gamma")),
+    Leaf("phi_c", "solver.phi_c", "coupling", lambda d, k, r: (d, 3 * d, 3, 3)),
+    Leaf("phi_n", "solver.phi_n", "coupling", lambda d, k, r: (d, 3 * d, 3, 3)),
+    *(Leaf(n, f"solver.{n}", "injection", _SQUARE) for n in ("psi_c", "psi_n")),
+    *(
+        Leaf(f"{cell}_w_{g}", f"solver.{cell}.w_{g}", "memory", lambda d, k, r: (d, 2 * d))
+        if w == "w"
+        else Leaf(f"{cell}_b_{g}", f"solver.{cell}.b_{g}", "memory_bias", _VECTOR)
+        for cell in ("mem_c", "mem_n")
+        for g in "zrc"
+        for w in "wb"
+    ),
+    Leaf("gate_reducer", "solver.gate.reducer", "gate_reducer", lambda d, k, r: (r, d)),
+    Leaf("gate_scale", "solver.gate.scale", "gate", _SCALAR),
+    Leaf("gate_shift", "solver.gate.shift", "gate", _SCALAR),
+    Leaf("head_weights", "head.weights", "head", _VECTOR),
+    Leaf("head_bias", "head.bias", "head", _SCALAR),
+    *(
+        Leaf(f"align_{x}_{band}", f"align.{x}_{band}", "align", _SQUARE if x == "psi" else _SCALAR)
+        for band in "ahvd"
+        for x in ("eta", "psi")
+    ),
+)
+
+
+def replace_leaves(params: ModelParams, values) -> ModelParams:
+    """A bundle holding ``values``, pairs of (:class:`Leaf`, new value).
+
+    All containers are new, so rebinding an attribute of the result never
+    reaches ``params``; the arrays of the other leaves are shared.
     """
     s = params.solver
-
-    def arr(name, get, set_):
-        return (name, get, set_, "array")
-
-    def sca(name, get, set_):
-        return (name, get, set_, "scalar")
-
-    leaves = [
-        arr("alpha", lambda p: p.solver.alpha, lambda p, v: setattr(p.solver, "alpha", v)),
-        arr("beta", lambda p: p.solver.beta, lambda p, v: setattr(p.solver, "beta", v)),
-        arr("gamma", lambda p: p.solver.gamma, lambda p, v: setattr(p.solver, "gamma", v)),
-        arr("phi_c", lambda p: p.solver.phi_c, lambda p, v: setattr(p.solver, "phi_c", v)),
-        arr("phi_n", lambda p: p.solver.phi_n, lambda p, v: setattr(p.solver, "phi_n", v)),
-        arr("psi_c", lambda p: p.solver.psi_c, lambda p, v: setattr(p.solver, "psi_c", v)),
-        arr("psi_n", lambda p: p.solver.psi_n, lambda p, v: setattr(p.solver, "psi_n", v)),
-    ]
-    for branch in ("mem_c", "mem_n"):
-        for w in ("w_z", "b_z", "w_r", "b_r", "w_c", "b_c"):
-            leaves.append(
-                arr(
-                    f"{branch}_{w}",
-                    lambda p, branch=branch, w=w: getattr(getattr(p.solver, branch), w),
-                    lambda p, v, branch=branch, w=w: setattr(getattr(p.solver, branch), w, v),
-                )
-            )
-    leaves += [
-        arr("gate_reducer", lambda p: p.solver.gate.reducer, lambda p, v: setattr(p.solver.gate, "reducer", v)),
-        sca("gate_scale", lambda p: p.solver.gate.scale, lambda p, v: setattr(p.solver.gate, "scale", v)),
-        sca("gate_shift", lambda p: p.solver.gate.shift, lambda p, v: setattr(p.solver.gate, "shift", v)),
-        arr("head_weights", lambda p: p.head.weights, lambda p, v: setattr(p.head, "weights", v)),
-        sca("head_bias", lambda p: p.head.bias, lambda p, v: setattr(p.head, "bias", v)),
-    ]
-    for band in ("a", "h", "v", "d"):
-        leaves.append(
-            sca(
-                f"align_eta_{band}",
-                lambda p, band=band: getattr(p.align, f"eta_{band}"),
-                lambda p, v, band=band: setattr(p.align, f"eta_{band}", v),
-            )
-        )
-        leaves.append(
-            arr(
-                f"align_psi_{band}",
-                lambda p, band=band: getattr(p.align, f"psi_{band}"),
-                lambda p, v, band=band: setattr(p.align, f"psi_{band}", v),
-            )
-        )
-    del s
-    return leaves
+    solver = replace(s, mem_c=replace(s.mem_c), mem_n=replace(s.mem_n), gate=replace(s.gate))
+    out = ModelParams(solver=solver, align=replace(params.align), head=replace(params.head))
+    for leaf, value in values:
+        *parents, name = leaf.path.split(".")
+        setattr(reduce(getattr, parents, out), name, value)
+    return out
 
 
 def parameter_count(params: ModelParams) -> int:
-    total = 0
-    for _name, get, _set, kind in _leaves(params):
-        total += int(np.asarray(get(params)).size) if kind == "array" else 1
-    return total
+    return sum(int(np.size(leaf.get(params))) for leaf in LEAVES)
 
 
 def dumps_params(params: ModelParams) -> str:
@@ -157,13 +168,9 @@ def dumps_params(params: ModelParams) -> str:
         f"gate_bypass = {1 if s.gate_bypass else 0}",
         f"threshold = {params.head.threshold!r}",
     ]
-    for name, get, _set, kind in _leaves(params):
-        value = get(params)
-        if kind == "scalar":
-            lines.append(f"{name} = {float(value)!r}")
-        else:
-            flat = np.asarray(value, dtype=np.float64).ravel()
-            lines.append(f"{name} = " + " ".join(repr(float(v)) for v in flat))
+    for leaf in LEAVES:
+        flat = np.ravel(np.asarray(leaf.get(params), dtype=np.float64))
+        lines.append(f"{leaf.key} = " + " ".join(repr(float(v)) for v in flat))
     return "\n".join(lines) + "\n"
 
 
@@ -192,17 +199,23 @@ def _finite_floats(name: str, text: str) -> np.ndarray:
 
 
 def loads_params(text: str) -> ModelParams:
+    """Parse a params file, checking each entry against the header's sizes.
+
+    A missing, unparsable, non-finite or wrongly sized entry raises
+    :class:`ConfigError` naming it.  Arrays are built only from the values
+    the file holds, never from the sizes its header claims.
+    """
     table = _parse_lines(text)
     if table.get(FORMAT_KEY) != FORMAT_VALUE:
         raise ConfigError(f"unsupported params format {table.get(FORMAT_KEY)!r}")
 
-    def get_scalar(name):
+    def get_value(name, shape):
         if name not in table:
             raise ConfigError(f"params file is missing {name}")
-        value = _finite_floats(name, table[name])
-        if value.size != 1:
-            raise ConfigError(f"{name}: expected one value, got {value.size}")
-        return float(value[0])
+        flat = _finite_floats(name, table[name])
+        if flat.size != math.prod(shape):
+            raise ConfigError(f"{name}: expected {math.prod(shape)} values, got {flat.size}")
+        return float(flat[0]) if shape == () else flat.reshape(shape)
 
     def get_int(name, default=None):
         if name not in table and default is None:
@@ -212,88 +225,30 @@ def loads_params(text: str) -> ModelParams:
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
 
-    channels = get_int("channels")
-    steps = get_int("steps")
-    reduced = get_int("reduced_channels")
+    dims = {name: get_int(name) for name in ("channels", "steps", "reduced_channels")}
+    for name, value in dims.items():
+        if value < 0:
+            raise ConfigError(f"{name}: must be non-negative, got {value}")
     patch_side = get_int("patch_side")
     memory_bypass = bool(get_int("memory_bypass"))
     gate_bypass = bool(get_int("gate_bypass", "0"))
-    epsilon = get_scalar("epsilon")
-    threshold = get_scalar("threshold")
-    d = channels
-    shapes = {
-        "alpha": (steps,),
-        "beta": (steps,),
-        "gamma": (steps,),
-        "phi_c": (d, 3 * d, 3, 3),
-        "phi_n": (d, 3 * d, 3, 3),
-        "psi_c": (d, d),
-        "psi_n": (d, d),
-        "gate_reducer": (reduced, d),
-        "head_weights": (d,),
-    }
-    for branch in ("mem_c", "mem_n"):
-        shapes[f"{branch}_w_z"] = (d, 2 * d)
-        shapes[f"{branch}_b_z"] = (d,)
-        shapes[f"{branch}_w_r"] = (d, 2 * d)
-        shapes[f"{branch}_b_r"] = (d,)
-        shapes[f"{branch}_w_c"] = (d, 2 * d)
-        shapes[f"{branch}_b_c"] = (d,)
-    for band in ("a", "h", "v", "d"):
-        shapes[f"align_psi_{band}"] = (d, d)
-
-    def get_array(name):
-        if name not in table:
-            raise ConfigError(f"params file is missing {name}")
-        flat = _finite_floats(name, table[name])
-        want = shapes[name]
-        if flat.size != int(np.prod(want)):
-            raise ConfigError(f"{name}: expected {int(np.prod(want))} values, got {flat.size}")
-        return flat.reshape(want)
-
-    def cell(branch):
-        return MemoryCell(
-            w_z=get_array(f"{branch}_w_z"),
-            b_z=get_array(f"{branch}_b_z"),
-            w_r=get_array(f"{branch}_w_r"),
-            b_r=get_array(f"{branch}_b_r"),
-            w_c=get_array(f"{branch}_w_c"),
-            b_c=get_array(f"{branch}_b_c"),
-        )
-
+    epsilon = get_value("epsilon", ())
+    threshold = get_value("threshold", ())
+    fields = {}  # container path -> {attribute: value}, filled in file order
+    for leaf in LEAVES:
+        container, name = leaf.path.rsplit(".", 1)
+        fields.setdefault(container, {})[name] = get_value(leaf.key, leaf.shape(*dims.values()))
     solver = SolverParams(
-        steps=steps,
-        alpha=get_array("alpha"),
-        beta=get_array("beta"),
-        gamma=get_array("gamma"),
-        phi_c=get_array("phi_c"),
-        phi_n=get_array("phi_n"),
-        psi_c=get_array("psi_c"),
-        psi_n=get_array("psi_n"),
-        mem_c=cell("mem_c"),
-        mem_n=cell("mem_n"),
-        gate=GateParams(
-            reducer=get_array("gate_reducer"),
-            patch_side=patch_side,
-            epsilon=epsilon,
-            scale=get_scalar("gate_scale"),
-            shift=get_scalar("gate_shift"),
-        ),
+        steps=dims["steps"],
+        mem_c=MemoryCell(**fields["solver.mem_c"]),
+        mem_n=MemoryCell(**fields["solver.mem_n"]),
+        gate=GateParams(patch_side=patch_side, epsilon=epsilon, **fields["solver.gate"]),
         memory_bypass=memory_bypass,
         gate_bypass=gate_bypass,
+        **fields["solver"],
     )
-    align = AlignParams(
-        eta_a=get_scalar("align_eta_a"),
-        eta_h=get_scalar("align_eta_h"),
-        eta_v=get_scalar("align_eta_v"),
-        eta_d=get_scalar("align_eta_d"),
-        psi_a=get_array("align_psi_a"),
-        psi_h=get_array("align_psi_h"),
-        psi_v=get_array("align_psi_v"),
-        psi_d=get_array("align_psi_d"),
-    )
-    head = HeadParams(weights=get_array("head_weights"), bias=get_scalar("head_bias"), threshold=threshold)
-    return ModelParams(solver=solver, align=align, head=head)
+    head = HeadParams(threshold=threshold, **fields["head"])
+    return ModelParams(solver=solver, align=AlignParams(**fields["align"]), head=head)
 
 
 def save_params(path, params: ModelParams) -> None:

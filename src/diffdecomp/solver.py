@@ -311,8 +311,6 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
     draft_c, draft_n = drafts[:d], drafts[d:]
     update_c = params.alpha[k] * draft_c
     update_n = params.beta[k] * draft_n
-    inject_c = params.gamma[k] * channel_map(params.psi_c, residual)
-    inject_n = params.gamma[k] * channel_map(params.psi_n, residual)
     prov_c = state.c + update_c
     prov_n = state.n + update_n
     if params.memory_bypass:
@@ -324,11 +322,14 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
         gate = np.ones(dfield.shape[1:], dtype=np.float64)
     else:
         gate = gate_map(residual, params.gate)
-    new_c = mem_c + gate[None, :, :] * inject_c
-    new_n = mem_n + gate[None, :, :] * inject_n
-    # One scan: the sum is non-finite when either term is.
-    if not np.all(np.isfinite(new_c + new_n)):
-        raise NumericalError(f"step {k}: non-finite change or nuisance estimate")
+    # The gated injections and the new C and N are checked right below, so
+    # an overflow there is reported once, as a NumericalError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_c = mem_c + gate[None, :, :] * (params.gamma[k] * channel_map(params.psi_c, residual))
+        new_n = mem_n + gate[None, :, :] * (params.gamma[k] * channel_map(params.psi_n, residual))
+        # One scan: the sum is non-finite when either term is.
+        if not np.all(np.isfinite(new_c + new_n)):
+            raise NumericalError(f"step {k}: non-finite change or nuisance estimate")
     return SolverState(c=new_c, n=new_n, mem_c=mem_c, mem_n=mem_n), gate
 
 

@@ -102,7 +102,9 @@ def test_invalid_replay_scores_are_usage_errors(capsys, tmp_path, replay):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# A floating-point warning would escape as an exception: the failure line is
+# all the command prints.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solver_overflow_is_numerical_failure(capsys, tmp_path):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(
@@ -112,7 +114,18 @@ def test_solver_overflow_is_numerical_failure(capsys, tmp_path):
     code = main(["fit", "--seed", "0", "--config", str(cfg), "--out", str(tmp_path / "m")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: step ")
+    assert err == "numerical failure: step 1: non-finite change or nuisance estimate\n"
+
+
+def test_lapack_failure_is_numerical_failure(capsys, tmp_path, tiny_cfg, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code = main(["fit", "--seed", "0", "--config", tiny_cfg, "--out", str(tmp_path / "m")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: singular_values_batch: SVD did not converge\n"
 
 
 def test_non_finite_fit_is_numerical_failure(capsys, tmp_path, tiny_cfg, monkeypatch):

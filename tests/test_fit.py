@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diffdecomp.core import ConfigError
-from diffdecomp.experiments import ExperimentConfig, fit_on_batch
+from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model
 from diffdecomp.fit import (
     FitConfig,
     FitDivergedError,
@@ -145,6 +145,36 @@ def test_apply_theta_size_checked():
     params = init_model_params(channels=2, steps=1, reduced_channels=2, patch_side=4)
     with pytest.raises(ConfigError):
         apply_theta(params, ("steps",), np.zeros(99))
+
+
+def test_apply_theta_shares_no_containers():
+    params = init_model_params(channels=2, steps=2, reduced_channels=2, patch_side=4)
+    before = dumps_params(params)
+    groups = FitConfig().groups
+    theta = pack_params(params, groups)
+    out = apply_theta(params, groups, theta)
+    out.solver.gate_bypass = True
+    out.solver.gate.patch_side = 2
+    out.solver.mem_c.b_z = np.zeros(2)
+    out.head.threshold = 0.9
+    out.align.eta_a = 0.0
+    assert dumps_params(params) == before
+    # Selected leaves are fresh arrays; the others are shared.
+    assert not np.shares_memory(out.solver.alpha, params.solver.alpha)
+    assert not np.shares_memory(out.solver.alpha, theta)
+    assert out.solver.phi_c is params.solver.phi_c
+
+
+def test_fit_on_batch_leaves_input_model_unchanged():
+    cfg = ExperimentConfig(
+        channels=2, height=8, width=8, patch_side=4, reduced_channels=2,
+        steps=2, instances=1, iterations=2, rectangles="2,2,4,4",
+    )
+    model = make_model(cfg)
+    before = dumps_params(model)
+    result = fit_on_batch(cfg, model)
+    assert dumps_params(result.params) != before
+    assert dumps_params(model) == before
 
 
 def test_unknown_group_rejected():

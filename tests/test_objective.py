@@ -1,6 +1,7 @@
 """Objective terms against hand computations and the staged-regularizer split."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ def test_separation_reference_values():
 
 def test_separation_zero_field_scores_one():
     assert separation(np.zeros(4), [1.0, 2.0, 3.0, 4.0]) == 1.0
+
+
+def test_separation_of_fields_too_large_to_square(rng):
+    c = rng.normal(0.0, 1.0, 32)
+    n = rng.normal(0.0, 1.0, 32)
+    want = 1.0 - float(np.dot(c, n)) / (np.linalg.norm(c) * np.linalg.norm(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e305):
+            assert abs(separation(scale * c, scale * n) - want) < 1e-7
+        assert abs(separation(1e305 * c, np.zeros(32)) - 1.0) < 1e-12
 
 
 def test_separation_shape_mismatch():

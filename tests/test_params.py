@@ -1,5 +1,8 @@
 """Flat-text serialization of the parameter bundle: exact round trips."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,25 @@ def scrambled_bundle():
     params.align.eta_a = 0.30000000000000004
     params.solver.mem_n.b_z = np.array([-4.0, 1e16, 5e-324])
     return params
+
+
+def _valid_lines():
+    params = init_model_params(channels=2, steps=1, reduced_channels=2, patch_side=4)
+    return dumps_params(params).splitlines()
+
+
+def _key(line):
+    return line.split("=", 1)[0].strip()
+
+
+def _with_line(lines, key, new_line):
+    """The file text with ``key``'s line replaced (or dropped when None)."""
+    kept = [(new_line if _key(line) == key else line) for line in lines]
+    return "\n".join(line for line in kept if line is not None)
+
+
+# Every key of a valid file: the header and every leaf.
+KEYS = [_key(line) for line in _valid_lines()]
 
 
 def test_round_trip_is_bit_exact():
@@ -81,13 +103,10 @@ def test_parameter_count_default_bundle():
     assert parameter_count(params) == 1212
 
 
-def test_missing_key_rejected():
-    params = init_model_params(channels=2, steps=1, reduced_channels=2, patch_side=4)
-    text = "\n".join(
-        line for line in dumps_params(params).splitlines() if not line.startswith("beta ")
-    )
-    with pytest.raises(ConfigError, match="beta"):
-        loads_params(text)
+@pytest.mark.parametrize("name", [key for key in KEYS if key != "gate_bypass"])  # has a default
+def test_missing_key_rejected(name):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        loads_params(_with_line(_valid_lines(), name, None))
 
 
 def test_missing_metadata_rejected():
@@ -99,26 +118,29 @@ def test_missing_metadata_rejected():
         loads_params(text)
 
 
-def test_wrong_array_length_rejected():
-    params = init_model_params(channels=2, steps=1, reduced_channels=2, patch_side=4)
-    lines = dumps_params(params).splitlines()
-    lines = [("alpha = 0.5 0.5" if line.startswith("alpha ") else line) for line in lines]
-    with pytest.raises(ConfigError, match="alpha"):
-        loads_params("\n".join(lines))
+@pytest.mark.parametrize("name", KEYS)
+def test_wrong_array_length_rejected(name):
+    lines = _valid_lines()
+    values = next(line for line in lines if _key(line) == name).split("=", 1)[1].split()
+    for wrong in (values + ["0.5"], values[:-1]):
+        with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+            loads_params(_with_line(lines, name, f"{name} = " + " ".join(wrong)))
+
+
+NON_FINITE = [
+    ("gate_scale", "nan"),
+    ("head_bias", "inf"),
+    ("epsilon", "-inf"),
+    ("threshold", "nan"),
+    ("alpha", "nan"),
+    ("beta", "-inf"),
+    ("head_weights", "0.5 inf"),
+    ("channels", "nan"),
+]
 
 
 @pytest.mark.parametrize(
-    "name,value",
-    [
-        ("gate_scale", "nan"),
-        ("head_bias", "inf"),
-        ("epsilon", "-inf"),
-        ("threshold", "nan"),
-        ("alpha", "nan"),
-        ("beta", "-inf"),
-        ("head_weights", "0.5 inf"),
-        ("channels", "nan"),
-    ],
+    "name,value", NON_FINITE + [(key, "nan") for key in KEYS if key not in dict(NON_FINITE)]
 )
 def test_non_finite_value_rejected(name, value):
     params = init_model_params(channels=2, steps=1, reduced_channels=2, patch_side=4)
@@ -126,7 +148,7 @@ def test_non_finite_value_rejected(name, value):
         (f"{name} = {value}" if line.split("=")[0].strip() == name else line)
         for line in dumps_params(params).splitlines()
     ]
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
         loads_params("\n".join(lines))
 
 
@@ -149,3 +171,27 @@ def test_file_round_trip(tmp_path):
     save_params(path, params)
     loaded = load_params(path)
     assert dumps_params(loaded) == dumps_params(params)
+
+
+
+@pytest.mark.parametrize(
+    "key,claim,named",
+    [("channels", "256", "phi_c"), ("steps", "1000000000", "alpha"),
+     ("reduced_channels", "1000000", "gate_reducer")],
+)
+def test_forged_header_fails_before_allocating(key, claim, named):
+    text = _with_line(_valid_lines(), key, f"{key} = {claim}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=named):
+            loads_params(text)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_negative_dimension_rejected():
+    text = _with_line(_valid_lines(), "channels", "channels = -1")
+    with pytest.raises(ConfigError, match="channels"):
+        loads_params(text)

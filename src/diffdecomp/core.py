@@ -1,4 +1,4 @@
-"""Field containers, patch partitioning, norms, and the batched patch SVD.
+"""Field containers, patch partitioning, norms, channel maps, and the batched patch SVD.
 
 Conventions used throughout the package:
 
@@ -23,8 +23,8 @@ __all__ = [
     "as_field",
     "as_plane",
     "frobenius_norm",
-    "patch_matrix",
-    "patch_matrices",
+    "channel_map",
+    "parse_name_values",
     "singular_values",
     "singular_values_batch",
     "sigmoid",
@@ -80,6 +80,32 @@ def frobenius_norm(x) -> float:
     """
     arr = np.asarray(x, dtype=np.float64)
     return float(np.sqrt(np.sum(arr * arr)))
+
+
+def channel_map(w, x) -> np.ndarray:
+    """Per-pixel channel mixing: out[o] = sum_c w[o, c] * x[c]."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != x.shape[0]:
+        raise ConfigError(f"channel map {w.shape} does not match {x.shape[0]} channels")
+    return (w @ x.reshape(x.shape[0], -1)).reshape(w.shape[0], *x.shape[1:])
+
+
+def parse_name_values(text: str, source: str) -> dict:
+    """``name = value`` lines as a dict; hash comments and blank lines are skipped.
+
+    A line without ``=`` raises :class:`ConfigError` naming ``source`` and
+    the line number.
+    """
+    table = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source} line {lineno}: expected 'name = value', got {raw!r}")
+        name, value = line.split("=", 1)
+        table[name.strip()] = value.strip()
+    return table
 
 
 def sigmoid(z):
@@ -142,36 +168,6 @@ class PatchLayout:
         p = self.patch_side
         t = x.reshape(d, self.rows, p, self.cols, p).transpose(1, 3, 0, 2, 4)
         return np.ascontiguousarray(t.reshape(self.n_patches, d, p * p))
-
-
-def _check_layout(x: np.ndarray, layout: PatchLayout, name: str) -> None:
-    h, w = x.shape[1], x.shape[2]
-    if h != layout.rows * layout.patch_side or w != layout.cols * layout.patch_side:
-        raise ConfigError(
-            f"{name}: layout {layout} does not match field of shape {x.shape}"
-        )
-
-
-def patch_matrix(x, layout: PatchLayout, index: int) -> np.ndarray:
-    """Patch ``index`` of a field as a (channels, patch_side**2) matrix.
-
-    Rows are channels; columns are the patch pixels in row-major order.
-    """
-    x = as_field(x)
-    _check_layout(x, layout, "patch_matrix")
-    rs, cs = layout.slices(index)
-    d = x.shape[0]
-    return x[:, rs, cs].reshape(d, layout.patch_side * layout.patch_side).copy()
-
-
-def patch_matrices(x, layout: PatchLayout) -> np.ndarray:
-    """All patch matrices at once, shape (n_patches, channels, patch_side**2).
-
-    ``patch_matrices(x, layout)[j]`` equals ``patch_matrix(x, layout, j)``.
-    """
-    x = as_field(x)
-    _check_layout(x, layout, "patch_matrices")
-    return layout.tiles(x)
 
 
 def singular_values(m) -> np.ndarray:

@@ -9,29 +9,23 @@ are pure functions of the config.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
 
+from . import rng
 from .convergence import consistency_distance, contraction_report, scores_from_residuals
-from .core import ConfigError, frobenius_norm
+from .core import ConfigError, frobenius_norm, parse_name_values, singular_values
 from .fit import FitConfig, FitResult, fit_model
-from .objective import (
-    LossReport,
-    StageConfig,
-    bce_dice_loss,
-    f1_score,
-    nuisance_mean,
-    separation,
-    total_loss,
-)
+from .objective import LossReport, StageConfig, f1_score, nuisance_mean, separation, total_loss
 from .params import ModelParams, init_model_params
-from .solver import predict, run
-from .sve import patch_entropies
+from .solver import init_state, predict, run, step
+from .sve import group_means, patch_entropies
 from .synth import SynthSpec, gen_bitemporal, gen_instance
-from .wavelet import AlignParams, suppress_pair
+from .wavelet import AlignParams, align_subbands, dwt2_haar, idwt2_haar, suppress_pair
 
 __all__ = [
     "ExperimentConfig",
@@ -102,9 +96,6 @@ class ExperimentConfig:
     k_max: int = 5
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-
-
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Typed config from a flat string mapping; unknown keys are errors."""
     kwargs = {}
@@ -149,16 +140,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse flat ``name = value`` lines (hash comments and blanks ignored)."""
-    mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'name = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    return config_from_mapping(mapping)
+    return config_from_mapping(parse_name_values(text, "config"))
 
 
 def canonical_config_text(cfg: ExperimentConfig) -> str:
@@ -286,16 +268,12 @@ def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: St
     return solver_run, report, f1_score(mask, labels)
 
 
+_LOSS_FIELDS = tuple(f.name for f in dataclasses.fields(LossReport))
+
+
 def _mean_report(reports) -> LossReport:
     n = float(len(reports))
-    return LossReport(
-        seg=sum(r.seg for r in reports) / n,
-        rec=sum(r.rec for r in reports) / n,
-        exp=sum(r.exp for r in reports) / n,
-        con=sum(r.con for r in reports) / n,
-        ssec=sum(r.ssec for r in reports) / n,
-        total=sum(r.total for r in reports) / n,
-    )
+    return LossReport(**{f: sum(getattr(r, f) for r in reports) / n for f in _LOSS_FIELDS})
 
 
 def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
@@ -338,11 +316,8 @@ def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
         fields = [dfield] + [state.c for state in solver_run.states[1:]]
         for step_idx, field in enumerate(fields):
             ent = patch_entropies(field, cfg.patch_side, cfg.epsilon)
-            changed = [float(np.mean(ent[list(groups[0])]))] if groups[0] else []
-            unchanged = [float(np.mean(ent[list(groups[1])]))] if groups[1] else []
-            sve_ch = changed[0] if changed else None
-            sve_un = unchanged[0] if unchanged else None
-            gap = sve_ch - sve_un if (changed and unchanged) else None
+            sve_ch, sve_un = group_means(ent, groups)
+            gap = None if sve_ch is None or sve_un is None else sve_ch - sve_un
             rows.append(
                 {
                     "seed": cfg.seed + i,
@@ -353,6 +328,25 @@ def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
                 }
             )
     return ["seed", "step", "sve_changed", "sve_unchanged", "gap"], rows
+
+
+_CONTRACTION_COLUMNS = ("seed", "k", "r_k", "ratio", "rho", "decrease")
+
+
+def _report_rows(seed, report):
+    """One contraction row per residual score; rho and decrease sit on the last."""
+    last = len(report.scores)
+    return [
+        {
+            "seed": seed,
+            "k": k,
+            "r_k": r_k,
+            "ratio": report.ratios[k - 2] if k >= 2 else None,
+            "rho": report.rho if k == last else None,
+            "decrease": report.decrease if k == last else None,
+        }
+        for k, r_k in enumerate(report.scores, start=1)
+    ]
 
 
 def contraction_rows(cfg: ExperimentConfig, model: ModelParams):
@@ -370,18 +364,7 @@ def contraction_rows(cfg: ExperimentConfig, model: ModelParams):
             [row.res_norm for row in solver_run.trace], frobenius_norm(dfield)
         )
         report = contraction_report(scores)
-        for k, r_k in enumerate(report.scores, start=1):
-            ratio = report.ratios[k - 2] if k >= 2 else None
-            rows.append(
-                {
-                    "seed": seed,
-                    "k": k,
-                    "r_k": r_k,
-                    "ratio": ratio,
-                    "rho": report.rho if k == len(report.scores) else None,
-                    "decrease": report.decrease if k == len(report.scores) else None,
-                }
-            )
+        rows.extend(_report_rows(seed, report))
         if report.decrease is not None:
             decreases.append(report.decrease)
         ratios_all.extend(r for r in report.ratios if r is not None)
@@ -396,85 +379,80 @@ def contraction_rows(cfg: ExperimentConfig, model: ModelParams):
         "decrease": median(decreases) if decreases else None,
     }
     rows.append(summary)
-    return ["seed", "k", "r_k", "ratio", "rho", "decrease"], rows
+    return list(_CONTRACTION_COLUMNS), rows
 
 
 def replay_rows(scores):
     """Contraction report rows for a hand-set residual score sequence."""
-    report = contraction_report(scores)
-    rows = []
-    for k, r_k in enumerate(report.scores, start=1):
-        rows.append(
-            {
-                "seed": "replay",
-                "k": k,
-                "r_k": r_k,
-                "ratio": report.ratios[k - 2] if k >= 2 else None,
-                "rho": report.rho if k == len(report.scores) else None,
-                "decrease": report.decrease if k == len(report.scores) else None,
-            }
-        )
-    return ["seed", "k", "r_k", "ratio", "rho", "decrease"], rows
+    return list(_CONTRACTION_COLUMNS), _report_rows("replay", contraction_report(scores))
 
 
-def _eval_fitted(cfg: ExperimentConfig, fitted: ModelParams, stage: StageConfig):
-    """Mean metrics of a fitted bundle over the eval seed range.
+@dataclass(frozen=True)
+class _Scores:
+    """Means of a bundle's metrics over the eval seed range.
 
-    The last entry lists, per eval seed, the final change estimate and the
-    item's (changed, unchanged) patch groups, for :func:`_mean_end_gap`.
+    ``ends`` lists, per eval seed, the final change estimate and the item's
+    (changed, unchanged) patch groups, for :func:`_mean_end_gap`.
     """
-    losses, f1s, mus, seps, outside, ends = [], [], [], [], 0, []
+
+    loss: float
+    f1: float
+    mu_n: float
+    separation: float
+    outside_band: float
+    ends: list
+
+
+def _fit_and_score(cfg: ExperimentConfig, fit: bool = True) -> _Scores:
+    """Score the fitted bundle, or with ``fit=False`` the initial one, over the eval seeds."""
+    model = fit_on_batch(cfg).params if fit else make_model(cfg)
+    stage = make_stage(cfg)
+    losses, f1s, mus, seps, ends = [], [], [], [], []
     for i in range(cfg.eval_seeds):
         item = _fetch_instance(cfg, cfg.seed + i)
-        _run, report, f1 = evaluate_instance(fitted, item, cfg, stage)
-        ends.append((_run.final.c, _patch_groups(item)))
+        solver_run, report, f1 = evaluate_instance(model, item, cfg, stage)
+        final = solver_run.final
         losses.append(report.total)
         f1s.append(f1)
-        mu = nuisance_mean(_run.final.n)
-        mus.append(mu)
-        seps.append(separation(_run.final.c, _run.final.n, cfg.epsilon))
-        if not cfg.band_lo <= mu <= cfg.band_hi:
-            outside += 1
+        mus.append(nuisance_mean(final.n))
+        seps.append(separation(final.c, final.n, cfg.epsilon))
+        ends.append((final.c, _patch_groups(item)))
+    outside = sum(1 for mu in mus if not cfg.band_lo <= mu <= cfg.band_hi)
     n = float(cfg.eval_seeds)
-    return (
-        sum(losses) / n,
-        sum(f1s) / n,
-        sum(mus) / n,
-        sum(seps) / n,
-        outside / n,
-        ends,
+    return _Scores(
+        loss=sum(losses) / n,
+        f1=sum(f1s) / n,
+        mu_n=sum(mus) / n,
+        separation=sum(seps) / n,
+        outside_band=outside / n,
+        ends=ends,
     )
 
 
 def ablation_rows(cfg: ExperimentConfig):
     """Fit and evaluate the eight on/off variants of gating, alignment, staging."""
     rows = []
-    for gating in (1, 0):
-        for align_on in (1, 0):
-            for staged in (1, 0):
-                variant = replace(
-                    cfg, use_gating=gating, use_align=align_on, use_staged=staged
-                )
-                stage = make_stage(variant)
-                result = fit_on_batch(variant)
-                loss, f1, mu, sep, outside, _ends = _eval_fitted(variant, result.params, stage)
-                rows.append(
-                    {
-                        "gating": gating,
-                        "align": align_on,
-                        "staged": staged,
-                        "loss": loss,
-                        "f1": f1,
-                        "mu_n": mu,
-                        "separation": sep,
-                        "outside_band": outside,
-                    }
-                )
+    for gating, align_on, staged in itertools.product((1, 0), repeat=3):
+        scores = _fit_and_score(
+            replace(cfg, use_gating=gating, use_align=align_on, use_staged=staged)
+        )
+        rows.append(
+            {
+                "gating": gating,
+                "align": align_on,
+                "staged": staged,
+                "loss": scores.loss,
+                "f1": scores.f1,
+                "mu_n": scores.mu_n,
+                "separation": scores.separation,
+                "outside_band": scores.outside_band,
+            }
+        )
     return ["gating", "align", "staged", "loss", "f1", "mu_n", "separation", "outside_band"], rows
 
 
 def ksweep_rows(cfg: ExperimentConfig):
-    """Fit and evaluate at each unroll depth K = 0..k_max.
+    """Fit and evaluate at each unroll depth K = 0..k_max (K = 0 is not fitted).
 
     ``cost_units`` is the deterministic work proxy K * channels * height *
     width (exactly monotone in K); wall time is deliberately not part of the
@@ -483,19 +461,13 @@ def ksweep_rows(cfg: ExperimentConfig):
     rows = []
     for k in range(cfg.k_max + 1):
         variant = replace(cfg, steps=k)
-        stage = make_stage(variant)
-        if k == 0:
-            fitted = make_model(variant)
-        else:
-            fitted = fit_on_batch(variant).params
-        loss, f1, _mu, _sep, _outside, ends = _eval_fitted(variant, fitted, stage)
-        gap = _mean_end_gap(variant, ends)
+        scores = _fit_and_score(variant, fit=k > 0)
         rows.append(
             {
                 "k_steps": k,
-                "loss": loss,
-                "f1": f1,
-                "sve_gap": gap,
+                "loss": scores.loss,
+                "f1": scores.f1,
+                "sve_gap": _mean_end_gap(variant, scores.ends),
                 "cost_units": k * cfg.channels * cfg.height * cfg.width,
             }
         )
@@ -505,62 +477,37 @@ def ksweep_rows(cfg: ExperimentConfig):
 def _mean_end_gap(cfg: ExperimentConfig, ends):
     """Mean changed-minus-unchanged SVE of the final change estimates.
 
-    ``ends`` holds (final C, patch groups) per eval seed, as returned by
-    :func:`_eval_fitted`; seeds with an empty group are skipped.
+    ``ends`` is :attr:`_Scores.ends`; seeds with an empty group are skipped
+    before any entropy is computed.
     """
     gaps = []
     for c, groups in ends:
-        if not groups[0] or not groups[1]:
-            continue
-        ent = patch_entropies(c, cfg.patch_side, cfg.epsilon)
-        gaps.append(float(np.mean(ent[list(groups[0])]) - np.mean(ent[list(groups[1])])))
+        if groups[0] and groups[1]:
+            sve_ch, sve_un = group_means(patch_entropies(c, cfg.patch_side, cfg.epsilon), groups)
+            gaps.append(sve_ch - sve_un)
     return sum(gaps) / len(gaps) if gaps else None
 
 
 def sensitivity_rows(cfg: ExperimentConfig):
     """Refit and score each staged-regularizer setting over three sweeps."""
+    settings = (
+        *(("margin", f"{m:g}", {"margin": m}) for m in MARGIN_GRID),
+        *(("band", f"{lo:g}/{hi:g}", {"band_lo": lo, "band_hi": hi}) for lo, hi in BAND_GRID),
+        *(
+            ("weights", f"{we:g}/{wc:g}", {"weight_margin": we, "weight_band": wc})
+            for we, wc in WEIGHT_GRID
+        ),
+    )
     rows = []
-
-    def score(variant: ExperimentConfig):
-        stage = make_stage(variant)
-        result = fit_on_batch(variant)
-        loss, f1, _mu, _sep, _outside, _ends = _eval_fitted(variant, result.params, stage)
-        return loss, f1
-
-    for m in MARGIN_GRID:
-        variant = replace(cfg, margin=m)
-        loss, f1 = score(variant)
+    for sweep, value, changes in settings:
+        scores = _fit_and_score(replace(cfg, **changes))
         rows.append(
             {
-                "sweep": "margin",
-                "value": f"{m:g}",
-                "f1": f1,
-                "loss": loss,
-                "is_default": int(m == cfg.margin),
-            }
-        )
-    for lo, hi in BAND_GRID:
-        variant = replace(cfg, band_lo=lo, band_hi=hi)
-        loss, f1 = score(variant)
-        rows.append(
-            {
-                "sweep": "band",
-                "value": f"{lo:g}/{hi:g}",
-                "f1": f1,
-                "loss": loss,
-                "is_default": int(lo == cfg.band_lo and hi == cfg.band_hi),
-            }
-        )
-    for we, wc in WEIGHT_GRID:
-        variant = replace(cfg, weight_margin=we, weight_band=wc)
-        loss, f1 = score(variant)
-        rows.append(
-            {
-                "sweep": "weights",
-                "value": f"{we:g}/{wc:g}",
-                "f1": f1,
-                "loss": loss,
-                "is_default": int(we == cfg.weight_margin and wc == cfg.weight_band),
+                "sweep": sweep,
+                "value": value,
+                "f1": scores.f1,
+                "loss": scores.loss,
+                "is_default": int(all(getattr(cfg, k) == v for k, v in changes.items())),
             }
         )
     return ["sweep", "value", "f1", "loss", "is_default"], rows
@@ -575,11 +522,6 @@ def run_checks(seed: int = 0, inject: str | None = None):
     Returns (name, ok, detail) triples.  ``inject`` deliberately corrupts the
     named check's data so failure handling can be exercised end to end.
     """
-    from . import rng
-    from .core import singular_values
-    from .solver import init_state
-    from .wavelet import dwt2_haar, idwt2_haar
-
     results = []
 
     def record(name, ok, detail):
@@ -628,18 +570,14 @@ def run_checks(seed: int = 0, inject: str | None = None):
     record("align_sum", ok, "bit-exact per-entry sums on dyadic data")
 
     # solver null step: zero operators leave the state unchanged
-    from .params import init_model_params as _init
-
-    model = _init(channels=3, steps=1, reduced_channels=2, patch_side=4, seed=seed)
+    model = init_model_params(channels=3, steps=1, reduced_channels=2, patch_side=4, seed=seed)
     model.solver.alpha[:] = 0.0
     model.solver.beta[:] = 0.0
     model.solver.gamma[:] = 0.0
     model.solver.memory_bypass = True
     d = rng.normals(seed, 960, (3, 8, 8))
     state0 = init_state(d)
-    from .solver import step as solver_step
-
-    state1, _gate = solver_step(d, state0, model.solver, 0)
+    state1, _gate = step(d, state0, model.solver, 0)
     drift = max(
         float(np.max(np.abs(state1.c - state0.c))),
         float(np.max(np.abs(state1.n - state0.n))),
@@ -675,8 +613,6 @@ def run_checks(seed: int = 0, inject: str | None = None):
 
 def align_pair_sums(x1, x2, params: AlignParams):
     """Per-entry sums before and after subband alignment (for the check)."""
-    from .wavelet import align_subbands, dwt2_haar
-
     s1 = dwt2_haar(x1)
     s2 = dwt2_haar(x2)
     a1, a2 = align_subbands(s1, s2, params)

@@ -109,15 +109,15 @@ def nuisance_mean(n) -> float:
 
 
 def exploration_loss(separations, margin: float) -> float:
-    """Hinge sum(max(0, margin - d_k)) over the provided early-step values."""
-    return float(sum(max(0.0, float(margin) - float(d)) for d in separations))
+    """Hinge sum(max(0, margin - d_k)) over the provided early-step values; NaN propagates."""
+    return float(sum(np.maximum(0.0, float(margin) - float(d)) for d in separations))
 
 
 def band_loss(mus, lo: float, hi: float) -> float:
-    """Hinge sum(max(0, mu - hi) + max(0, lo - mu)) over late-step values."""
+    """Hinge sum(max(0, mu - hi) + max(0, lo - mu)) over late-step values; NaN propagates."""
     if lo > hi:
         raise ConfigError(f"band ({lo}, {hi}) is inverted")
-    return float(sum(max(0.0, float(m) - hi) + max(0.0, lo - float(m)) for m in mus))
+    return float(sum(np.maximum(0.0, float(m) - hi) + np.maximum(0.0, lo - float(m)) for m in mus))
 
 
 def staged_loss(states, config: StageConfig):

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, parse_name_values
 from .solver import (
     HeadParams,
     MemoryCell,
@@ -174,19 +174,6 @@ def dumps_params(params: ModelParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_lines(text: str) -> dict:
-    table = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"params line {lineno}: expected 'name = value', got {raw!r}")
-        name, value = line.split("=", 1)
-        table[name.strip()] = value.strip()
-    return table
-
-
 def _finite_floats(name: str, text: str) -> np.ndarray:
     """The whitespace-separated values of one params entry; all must be finite."""
     try:
@@ -205,7 +192,7 @@ def loads_params(text: str) -> ModelParams:
     :class:`ConfigError` naming it.  Arrays are built only from the values
     the file holds, never from the sizes its header claims.
     """
-    table = _parse_lines(text)
+    table = parse_name_values(text, "params")
     if table.get(FORMAT_KEY) != FORMAT_VALUE:
         raise ConfigError(f"unsupported params format {table.get(FORMAT_KEY)!r}")
 

@@ -26,9 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .core import ConfigError, NumericalError, as_field, frobenius_norm, sigmoid
+from .core import ConfigError, NumericalError, as_field, channel_map, frobenius_norm, sigmoid
 from .objective import nuisance_mean, separation
-from .sve import GateParams, gate_map, init_gate_params, patch_entropies
+from .sve import GateParams, gate_map, group_means, init_gate_params, patch_entropies
 
 __all__ = [
     "MemoryCell",
@@ -261,14 +261,6 @@ def conv3x3_reflect(x, weights) -> np.ndarray:
     return out
 
 
-def channel_map(w, x) -> np.ndarray:
-    """Per-pixel channel mixing: out[o] = sum_c w[o, c] * x[c]."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != x.shape[0]:
-        raise ConfigError(f"channel map {w.shape} does not match {x.shape[0]} channels")
-    return (w @ x.reshape(x.shape[0], -1)).reshape(w.shape[0], *x.shape[1:])
-
-
 def memory_update(x, h, cell: MemoryCell) -> np.ndarray:
     """One gated-recurrence update (see :class:`MemoryCell`)."""
     xh = np.concatenate([x, h], axis=0)
@@ -333,19 +325,11 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
     return SolverState(c=new_c, n=new_n, mem_c=mem_c, mem_n=mem_n), gate
 
 
-def _group_mean(values: np.ndarray, indices) -> float | None:
-    if indices is None or len(indices) == 0:
-        return None
-    return float(np.mean(values[np.asarray(indices, dtype=int)]))
-
-
 def _trace_row(dfield, state, k, patch_side, epsilon, patch_groups, gate) -> TraceRow:
     res = frobenius_norm(dfield - (state.c + state.n))
     sve_ch = sve_un = None
     if patch_groups is not None:
-        ent = patch_entropies(state.c, patch_side, epsilon)
-        sve_ch = _group_mean(ent, patch_groups[0])
-        sve_un = _group_mean(ent, patch_groups[1])
+        sve_ch, sve_un = group_means(patch_entropies(state.c, patch_side, epsilon), patch_groups)
     gmin = gmean = gmax = None
     if gate is not None:
         gmin, gmean, gmax = float(gate.min()), float(gate.mean()), float(gate.max())
@@ -395,10 +379,9 @@ def run(dfield, params: SolverParams, patch_groups=None) -> SolverRun:
 def predict(c_field, head: HeadParams):
     """(logits, probabilities, predicted mask) from the change estimate."""
     c = as_field(c_field, "predict")
+    # channel_map rejects weights that are not one value per channel.
     w = np.asarray(head.weights, dtype=np.float64)
-    if w.shape != (c.shape[0],):
-        raise ConfigError(f"head weights {w.shape} do not match {c.shape[0]} channels")
-    logits = np.tensordot(w, c, axes=([0], [0])) + float(head.bias)
+    logits = channel_map(w[None], c)[0] + float(head.bias)
     probs = sigmoid(logits)
     return logits, probs, (probs > head.threshold).astype(np.float64)
 

@@ -17,6 +17,7 @@ from .core import (
     ConfigError,
     PatchLayout,
     as_field,
+    channel_map,
     field_shape,
     sigmoid,
     singular_values_batch,
@@ -28,6 +29,7 @@ __all__ = [
     "normalized_spectrum",
     "patch_entropy",
     "patch_entropies",
+    "group_means",
     "sve_map",
     "gate_map",
 ]
@@ -124,6 +126,14 @@ def patch_entropies(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
     return patch_entropy(normalized_spectrum(svs, epsilon), epsilon)
 
 
+def group_means(values, groups) -> tuple:
+    """Mean of ``values`` over each group of indices; ``None`` for an empty group."""
+    values = np.asarray(values)
+    return tuple(
+        float(np.mean(values[np.asarray(g, dtype=int)])) if len(g) else None for g in groups
+    )
+
+
 def sve_map(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
     """Dense SVE plane: piecewise constant, one value per patch.
 
@@ -142,11 +152,5 @@ def sve_map(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
 def gate_map(residual, params: GateParams) -> np.ndarray:
     """Gate plane sigmoid(scale * SVE + shift) of the reduced absolute residual."""
     r = as_field(residual, "gate_map")
-    if params.reducer.shape[1] != r.shape[0]:
-        raise ConfigError(
-            f"gate reducer expects {params.reducer.shape[1]} channels, field has {r.shape[0]}"
-        )
-    c, h, w = r.shape
-    reduced = (params.reducer @ np.abs(r).reshape(c, h * w)).reshape(-1, h, w)
-    s = sve_map(reduced, params.patch_side, params.epsilon)
+    s = sve_map(channel_map(params.reducer, np.abs(r)), params.patch_side, params.epsilon)
     return sigmoid(params.scale * s + params.shift)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, as_field
+from .core import ConfigError, as_field, channel_map
 
 __all__ = [
     "Subbands",
@@ -120,15 +120,6 @@ class AlignParams:
         )
 
 
-def _apply_channel_map(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=np.float64)
-    if psi.ndim != 2 or psi.shape[0] != psi.shape[1] or psi.shape[0] != x.shape[0]:
-        raise ConfigError(
-            f"channel map of shape {psi.shape} does not match {x.shape[0]} channels"
-        )
-    return np.tensordot(psi, x, axes=([1], [0]))
-
-
 def align_subbands(s1: Subbands, s2: Subbands, params: AlignParams):
     """Move each subband pair toward each other by an equal-and-opposite correction.
 
@@ -149,7 +140,10 @@ def align_subbands(s1: Subbands, s2: Subbands, params: AlignParams):
         b2 = np.asarray(getattr(s2, name), dtype=np.float64)
         if b1.shape != b2.shape:
             raise ConfigError(f"subband {name}: shapes {b1.shape} and {b2.shape} differ")
-        t = float(eta) * _apply_channel_map(psi, b1 - b2)
+        psi = np.asarray(psi, dtype=np.float64)
+        if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
+            raise ConfigError(f"subband {name}: channel map of shape {psi.shape} is not square")
+        t = float(eta) * channel_map(psi, b1 - b2)
         out1[name] = b1 - t
         out2[name] = b2 + t
     return Subbands(**out1), Subbands(**out2)

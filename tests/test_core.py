@@ -15,8 +15,6 @@ from diffdecomp.core import (
     PatchLayout,
     as_field,
     frobenius_norm,
-    patch_matrices,
-    patch_matrix,
     sigmoid,
     singular_values,
     singular_values_batch,
@@ -94,13 +92,13 @@ def test_patch_layout_grid():
 def test_patch_matrix_constant_field():
     x = np.full((1, 2, 2), 7.0)
     layout = PatchLayout.for_shape(2, 2, 2)
-    assert np.array_equal(patch_matrix(x, layout, 0), [[7.0, 7.0, 7.0, 7.0]])
+    assert np.array_equal(layout.tiles(x), [[[7.0, 7.0, 7.0, 7.0]]])
 
 
 def test_patch_matrix_single_patch_is_flatten():
     x = np.arange(2 * 4 * 4, dtype=np.float64).reshape(2, 4, 4)
     layout = PatchLayout.for_shape(4, 4, 4)
-    assert np.array_equal(patch_matrix(x, layout, 0), x.reshape(2, 16))
+    assert np.array_equal(layout.tiles(x), x.reshape(1, 2, 16))
 
 
 def test_patch_matrix_against_loop_oracle(rng):
@@ -116,32 +114,25 @@ def test_patch_matrix_against_loop_oracle(rng):
             for j in range(8):
                 oracle[ch, col] = x[ch, r0 + i, c0 + j]
                 col += 1
-    assert np.array_equal(patch_matrix(x, layout, index), oracle)
+    assert np.array_equal(layout.tiles(x)[index], oracle)
 
 
 def test_patch_matrix_out_of_range():
-    x = np.zeros((1, 8, 8))
     layout = PatchLayout.for_shape(8, 8, 8)
-    with pytest.raises(IndexError):
-        patch_matrix(x, layout, 1)
+    for index in (1, -1):
+        with pytest.raises(IndexError):
+            layout.slices(index)
 
 
 def test_patch_bijection_reassembles_bit_exactly(rng):
     x = rng.normal(size=(3, 16, 24))
     layout = PatchLayout.for_shape(16, 24, 8)
+    tiles = layout.tiles(x)
     rebuilt = np.empty_like(x)
     for idx in range(layout.n_patches):
         rs, cs = layout.slices(idx)
-        rebuilt[:, rs, cs] = patch_matrix(x, layout, idx).reshape(3, 8, 8)
+        rebuilt[:, rs, cs] = tiles[idx].reshape(3, 8, 8)
     assert np.array_equal(rebuilt, x)
-
-
-def test_patch_matrices_matches_per_patch(rng):
-    x = rng.normal(size=(4, 16, 16))
-    layout = PatchLayout.for_shape(16, 16, 8)
-    stacked = patch_matrices(x, layout)
-    for idx in range(layout.n_patches):
-        assert np.array_equal(stacked[idx], patch_matrix(x, layout, idx))
 
 
 # --------------------------------------------------------------------- SVD

@@ -83,6 +83,13 @@ def test_band_hinge():
         band_loss([0.1], 0.4, 0.05)
 
 
+def test_hinges_propagate_nan():
+    assert math.isnan(exploration_loss([float("nan")], 0.5))
+    assert math.isnan(exploration_loss([0.1, float("nan")], 0.5))
+    assert math.isnan(band_loss([float("nan")], 0.05, 0.4))
+    assert math.isnan(band_loss([0.2, float("nan")], 0.05, 0.4))
+
+
 @given(
     st.floats(min_value=0.0, max_value=2.0),
     st.floats(min_value=0.0, max_value=1.0),

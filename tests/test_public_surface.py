@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +27,13 @@ def test_every_exported_name_resolves(name):
 
 def test_one_version_string():
     assert diffdecomp.__version__ == TOOL_VERSION
+
+
+def test_pyproject_takes_the_version_from_csvio():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in meta["project"]
+    assert meta["project"]["dynamic"] == ["version"]
+    dynamic = meta["tool"]["setuptools"]["dynamic"]["version"]
+    assert dynamic == {"attr": "diffdecomp.csvio.TOOL_VERSION"}

@@ -7,12 +7,11 @@ import pytest
 
 import oracles
 from diffdecomp import solver
-from diffdecomp.core import ConfigError, NumericalError, frobenius_norm
+from diffdecomp.core import ConfigError, NumericalError, channel_map, frobenius_norm
 from diffdecomp.solver import (
     HeadParams,
     MemoryCell,
     SolverState,
-    channel_map,
     conv3x3_reflect,
     init_memory_cell,
     init_solver_params,
@@ -127,6 +126,9 @@ def test_channel_map_equals_tensordot(rng):
         x = rng.normal(0.0, 1.0, (c_in, h, w))
         wm = rng.normal(0.0, 1.0, (c_out, c_in))
         assert np.array_equal(channel_map(wm, x), np.tensordot(wm, x, axes=([1], [0])))
+        # the one-row map of the read-out head
+        head = wm[0]
+        assert np.array_equal(channel_map(head[None], x)[0], np.tensordot(head, x, axes=([0], [0])))
 
 
 def test_memory_update_hand_check():
@@ -353,5 +355,6 @@ def test_predict_hand_check():
     assert np.allclose(logits, [[1.5, -2.5]], atol=1e-15)
     assert np.allclose(probs, 1.0 / (1.0 + np.exp(-np.array([[1.5, -2.5]]))), atol=1e-15)
     assert np.array_equal(mask, [[1.0, 0.0]])
-    with pytest.raises(ConfigError):
-        predict(c, HeadParams(weights=np.array([1.0, 2.0, 3.0]), bias=0.0))
+    for weights in (np.array([1.0, 2.0, 3.0]), np.ones((1, 2)), np.array(1.0)):
+        with pytest.raises(ConfigError):
+            predict(c, HeadParams(weights=weights, bias=0.0))

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffdecomp.core import ConfigError, sigmoid
-from diffdecomp.solver import channel_map
+from diffdecomp.core import ConfigError, PatchLayout, channel_map, sigmoid, singular_values
 from diffdecomp.sve import (
     GateParams,
     gate_map,
+    group_means,
     init_gate_params,
     normalized_spectrum,
     patch_entropies,
@@ -59,13 +59,17 @@ def test_patch_entropy_hand_value():
 def test_patch_entropies_match_scalar_path(rng):
     x = rng.normal(size=(3, 16, 16))
     ent = patch_entropies(x, 8)
-    from diffdecomp.core import PatchLayout, patch_matrix, singular_values
-
     layout = PatchLayout.for_shape(16, 16, 8)
-    for j in range(layout.n_patches):
-        sv = singular_values(patch_matrix(x, layout, j))
+    for j, tile in enumerate(layout.tiles(x)):
+        sv = singular_values(tile)
         expected = patch_entropy(normalized_spectrum(sv))
         assert ent[j] == pytest.approx(expected, abs=1e-12)
+
+
+def test_group_means():
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    assert group_means(values, ((0, 1), (), [3])) == (1.5, None, 4.0)
+    assert group_means(values, ()) == ()
 
 
 def test_sve_map_rank_one_patches(rng):

@@ -190,6 +190,15 @@ def test_align_rejects_shape_mismatch():
         align_subbands(s1, s2, AlignParams.identity(1))
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 3)])
+def test_align_rejects_bad_channel_map(shape):
+    s = Subbands(*(np.ones((2, 2, 2)) for _ in range(4)))
+    p = AlignParams.identity(2)
+    p.psi_h = np.ones(shape)
+    with pytest.raises(ConfigError):
+        align_subbands(s, s, p)
+
+
 # ------------------------------------------------------------ paired fields
 
 

@@ -22,7 +22,7 @@ from .experiments import (
     contraction_rows,
     fit_on_batch,
     ksweep_rows,
-    make_spec,
+    make_item,
     parse_config_text,
     replay_rows,
     run_checks,
@@ -30,7 +30,7 @@ from .experiments import (
     sve_prior_rows,
 )
 from .params import load_params, save_params
-from .synth import gen_bitemporal, gen_instance
+from .synth import BitemporalPair
 from .tensorio import TensorFormatError, write_tensor
 
 __all__ = ["main", "build_parser"]
@@ -97,13 +97,11 @@ def _load_fitted(path):
 
 
 def _spec_record(spec) -> str:
+    """One ``name=value`` line of every spec field; rectangles as ``r,c,h,w;...``."""
     rects = ";".join(",".join(str(v) for v in r) for r in spec.rectangles)
-    return (
-        f"seed={spec.seed} channels={spec.channels} height={spec.height} "
-        f"width={spec.width} patch_side={spec.patch_side} rectangles={rects} "
-        f"change_amplitude={spec.change_amplitude!r} "
-        f"nuisance_amplitude={spec.nuisance_amplitude!r} "
-        f"noise_sigma={spec.noise_sigma!r} illumination={spec.illumination!r}"
+    return " ".join(
+        f"{f.name}={rects if f.name == 'rectangles' else repr(getattr(spec, f.name))}"
+        for f in dataclasses.fields(spec)
     )
 
 
@@ -112,25 +110,23 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: str) -> int:
     manifest = []
     records = []
     for i in range(cfg.instances):
-        spec = make_spec(cfg, cfg.seed + i)
-        records.append(_spec_record(spec))
-        if cfg.mode == "bitemporal":
-            pair = gen_bitemporal(spec)
-            tensors = [("f1", pair.f1), ("f2", pair.f2), ("labels", pair.labels)]
+        item = make_item(cfg, cfg.seed + i)
+        records.append(_spec_record(item.spec))
+        if isinstance(item, BitemporalPair):
+            tensors = [("f1", item.f1), ("f2", item.f2), ("labels", item.labels)]
         else:
-            inst = gen_instance(spec)
             tensors = [
-                ("d", inst.dfield),
-                ("cstar", inst.c_star),
-                ("nstar", inst.n_star),
-                ("labels", inst.labels),
+                ("d", item.dfield),
+                ("cstar", item.c_star),
+                ("nstar", item.n_star),
+                ("labels", item.labels),
             ]
         for name, tensor in tensors:
-            fname = f"seed{spec.seed}_{name}.pufd"
+            fname = f"seed{item.spec.seed}_{name}.pufd"
             write_tensor(os.path.join(out_dir, fname), tensor)
             manifest.append(
                 {
-                    "seed": spec.seed,
+                    "seed": item.spec.seed,
                     "tensor": name,
                     "file": fname,
                     "shape": "x".join(str(s) for s in tensor.shape),

@@ -24,6 +24,7 @@ __all__ = [
     "consistency_distance",
 ]
 
+# a score at or below this counts as zero in the contraction report
 SCORE_EPS = 1e-12
 
 
@@ -68,7 +69,7 @@ def scores_from_residuals(res_norms, d_norm: float):
     return tuple(float(r) / float(d_norm) for r in list(res_norms)[1:])
 
 
-def contraction_report(scores, epsilon: float = SCORE_EPS) -> ContractionReport:
+def contraction_report(scores) -> ContractionReport:
     """Summarise a score sequence r_1..r_K (see :class:`ContractionReport`)."""
     r = [float(s) for s in scores]
     if len(r) < 1:
@@ -78,17 +79,17 @@ def contraction_report(scores, epsilon: float = SCORE_EPS) -> ContractionReport:
     if any(s < 0.0 for s in r):
         raise ValueError("scores must be non-negative")
     ratios = tuple(
-        (r[i] / r[i - 1]) if r[i - 1] > epsilon else None for i in range(1, len(r))
+        (r[i] / r[i - 1]) if r[i - 1] > SCORE_EPS else None for i in range(1, len(r))
     )
     rho = None
     deltas = None
-    if len(r) >= 2 and all(s > epsilon for s in r):
+    if len(r) >= 2 and all(s > SCORE_EPS for s in r):
         k = np.arange(1, len(r) + 1, dtype=np.float64)
         logs = np.log(np.asarray(r))
         slope = float(np.polyfit(k, logs, 1)[0])
         rho = float(np.exp(slope))
         deltas = tuple(max(0.0, r[i] - rho * r[i - 1]) for i in range(1, len(r)))
-    decrease = (1.0 - r[-1] / r[0]) if r[0] > epsilon else None
+    decrease = (1.0 - r[-1] / r[0]) if r[0] > SCORE_EPS else None
     return ContractionReport(
         scores=tuple(r), ratios=ratios, rho=rho, decrease=decrease, deltas=deltas
     )

@@ -24,7 +24,7 @@ from .objective import LossReport, StageConfig, f1_score, nuisance_mean, separat
 from .params import ModelParams, init_model_params
 from .solver import init_state, predict, run, step
 from .sve import group_means, patch_entropies
-from .synth import SynthSpec, gen_bitemporal, gen_instance
+from .synth import BitemporalPair, SynthInstance, SynthSpec, gen_bitemporal, gen_instance
 from .wavelet import AlignParams, align_subbands, dwt2_haar, idwt2_haar, suppress_pair
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "parse_config_text",
     "canonical_config_text",
     "make_spec",
+    "make_item",
     "make_model",
     "make_stage",
     "resolve_lam_rec",
@@ -124,8 +125,11 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.mode not in ("instance", "bitemporal"):
         raise ConfigError(f"mode must be 'instance' or 'bitemporal', got {cfg.mode!r}")
-    if cfg.steps < 0 or cfg.instances < 1 or cfg.eval_seeds < 1:
-        raise ConfigError("steps must be >= 0; instances and eval_seeds must be >= 1")
+    if cfg.instances < 1 or cfg.eval_seeds < 1:
+        raise ConfigError("instances and eval_seeds must be >= 1")
+    for key in ("steps", "iterations", "k_max", "epsilon"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)}")
     if cfg.band_lo > cfg.band_hi:
         raise ConfigError(f"band ({cfg.band_lo}, {cfg.band_hi}) is inverted")
     if cfg.lam_rec != "auto":
@@ -170,24 +174,22 @@ def parse_rectangles(text: str):
 
 
 def make_spec(cfg: ExperimentConfig, seed: int) -> SynthSpec:
-    return SynthSpec(
-        seed=int(seed),
-        channels=cfg.channels,
-        height=cfg.height,
-        width=cfg.width,
-        patch_side=cfg.patch_side,
-        rectangles=parse_rectangles(cfg.rectangles),
-        change_amplitude=cfg.change_amplitude,
-        nuisance_amplitude=cfg.nuisance_amplitude,
-        noise_sigma=cfg.noise_sigma,
-        illumination=cfg.illumination,
-    )
+    """The config's synthetic spec at ``seed``: every SynthSpec field read from the config."""
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(SynthSpec)}
+    values.update(seed=int(seed), rectangles=parse_rectangles(cfg.rectangles))
+    return SynthSpec(**values)
 
 
-def make_model(cfg: ExperimentConfig, steps: int | None = None) -> ModelParams:
+def make_item(cfg: ExperimentConfig, seed: int) -> SynthInstance | BitemporalPair:
+    """The item at ``seed``: a bi-temporal pair or a decomposition instance, per ``cfg.mode``."""
+    spec = make_spec(cfg, seed)
+    return gen_bitemporal(spec) if cfg.mode == "bitemporal" else gen_instance(spec)
+
+
+def make_model(cfg: ExperimentConfig) -> ModelParams:
     model = init_model_params(
         channels=cfg.channels,
-        steps=cfg.steps if steps is None else int(steps),
+        steps=cfg.steps,
         reduced_channels=cfg.reduced_channels,
         patch_side=cfg.patch_side,
         epsilon=cfg.epsilon,
@@ -201,11 +203,11 @@ def make_model(cfg: ExperimentConfig, steps: int | None = None) -> ModelParams:
     return model
 
 
-def make_stage(cfg: ExperimentConfig, steps: int | None = None) -> StageConfig:
+def make_stage(cfg: ExperimentConfig) -> StageConfig:
     wm = cfg.weight_margin if cfg.use_staged else 0.0
     wb = cfg.weight_band if cfg.use_staged else 0.0
     return StageConfig.for_steps(
-        cfg.steps if steps is None else int(steps),
+        cfg.steps,
         margin=cfg.margin,
         band_lo=cfg.band_lo,
         band_hi=cfg.band_hi,
@@ -222,36 +224,17 @@ def resolve_lam_rec(cfg: ExperimentConfig) -> float:
     return float(cfg.lam_rec)
 
 
-def _fetch_instance(cfg: ExperimentConfig, seed: int):
-    """Raw material for one instance: (kind, payload) per the config mode."""
-    spec = make_spec(cfg, seed)
-    if cfg.mode == "bitemporal":
-        return ("pair", gen_bitemporal(spec))
-    return ("instance", gen_instance(spec))
-
-
-def _patch_groups(item):
-    """(changed, unchanged) patch index sets of a generated item."""
-    payload = item[1]
-    return payload.changed_patches, payload.unchanged_patches
-
-
 def difference_field(item, align: AlignParams, use_align: bool):
     """(dfield, labels, patch groups) for a generated item.
 
     Decomposition instances pass through; bi-temporal pairs are subband-
     aligned (unless disabled) and differenced.
     """
-    kind, payload = item
-    groups = _patch_groups(item)
-    if kind == "instance":
-        return payload.dfield, payload.labels, groups
-    pair = payload
-    if use_align:
-        f1, f2 = suppress_pair(pair.f1, pair.f2, align)
-    else:
-        f1, f2 = pair.f1, pair.f2
-    return f2 - f1, pair.labels, groups
+    groups = (item.changed_patches, item.unchanged_patches)
+    if isinstance(item, SynthInstance):
+        return item.dfield, item.labels, groups
+    f1, f2 = suppress_pair(item.f1, item.f2, align) if use_align else (item.f1, item.f2)
+    return f2 - f1, item.labels, groups
 
 
 def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: StageConfig):
@@ -283,7 +266,7 @@ def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
         model = make_model(cfg)
     if stage is None:
         stage = make_stage(cfg)
-    batch = [_fetch_instance(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
+    batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
 
     def batch_report(bundle: ModelParams) -> LossReport:
         reports = [evaluate_instance(bundle, item, cfg, stage)[1] for item in batch]
@@ -310,7 +293,7 @@ def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
     stage = make_stage(cfg)
     rows = []
     for i in range(cfg.eval_seeds):
-        item = _fetch_instance(cfg, cfg.seed + i)
+        item = make_item(cfg, cfg.seed + i)
         dfield, labels, groups = difference_field(item, model.align, bool(cfg.use_align))
         solver_run = run(dfield, model.solver)
         fields = [dfield] + [state.c for state in solver_run.states[1:]]
@@ -357,7 +340,7 @@ def contraction_rows(cfg: ExperimentConfig, model: ModelParams):
     rhos = []
     for i in range(cfg.eval_seeds):
         seed = cfg.seed + i
-        item = _fetch_instance(cfg, seed)
+        item = make_item(cfg, seed)
         dfield, _labels, _groups = difference_field(item, model.align, bool(cfg.use_align))
         solver_run = run(dfield, model.solver)
         scores = scores_from_residuals(
@@ -409,14 +392,14 @@ def _fit_and_score(cfg: ExperimentConfig, fit: bool = True) -> _Scores:
     stage = make_stage(cfg)
     losses, f1s, mus, seps, ends = [], [], [], [], []
     for i in range(cfg.eval_seeds):
-        item = _fetch_instance(cfg, cfg.seed + i)
+        item = make_item(cfg, cfg.seed + i)
         solver_run, report, f1 = evaluate_instance(model, item, cfg, stage)
         final = solver_run.final
         losses.append(report.total)
         f1s.append(f1)
         mus.append(nuisance_mean(final.n))
         seps.append(separation(final.c, final.n, cfg.epsilon))
-        ends.append((final.c, _patch_groups(item)))
+        ends.append((final.c, (item.changed_patches, item.unchanged_patches)))
     outside = sum(1 for mu in mus if not cfg.band_lo <= mu <= cfg.band_hi)
     n = float(cfg.eval_seeds)
     return _Scores(

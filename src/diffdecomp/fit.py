@@ -31,6 +31,11 @@ __all__ = [
     "fit_model",
 ]
 
+# the longest parameter vector a fit accepts
+MAX_PARAMETERS = 2000
+# a step that multiplies the loss by more than this raises FitDivergedError
+DIVERGENCE_FACTOR = 10.0
+
 # group -> file keys of its leaves, in file order
 PARAMETER_GROUPS = {
     group: tuple(leaf.key for leaf in LEAVES if leaf.group == group)
@@ -52,8 +57,6 @@ class FitConfig:
     iterations: int = 300
     step_size: float = 1e-4          # finite-difference half-step
     groups: tuple = ("steps", "gate", "head", "memory_bias")
-    max_parameters: int = 2000
-    divergence_factor: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -128,14 +131,12 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
     """Plain gradient descent on ``report_fn(theta).total``.
 
     Returns (theta, curve of LossReports, one per recorded iterate).  A step
-    that multiplies the loss by more than ``divergence_factor`` raises
+    that multiplies the loss by more than ``DIVERGENCE_FACTOR`` raises
     :class:`FitDivergedError` (the divergence alarm).
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    if theta.size > config.max_parameters:
-        raise ConfigError(
-            f"{theta.size} parameters exceed the fit cap of {config.max_parameters}"
-        )
+    if theta.size > MAX_PARAMETERS:
+        raise ConfigError(f"{theta.size} parameters exceed the fit cap of {MAX_PARAMETERS}")
 
     def total(th):
         return report_fn(th).total
@@ -151,7 +152,7 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
         if not np.isfinite(report.total):
             raise FitError(f"non-finite loss after iteration {it}")
         previous = curve[-1].total
-        if report.total > config.divergence_factor * previous + 1e-9:
+        if report.total > DIVERGENCE_FACTOR * previous + 1e-9:
             raise FitDivergedError(
                 f"iteration {it}: loss rose from {previous:.6g} to {report.total:.6g}"
             )

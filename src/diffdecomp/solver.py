@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .core import ConfigError, NumericalError, as_field, channel_map, frobenius_norm, sigmoid
+from .core import (ConfigError, NumericalError, as_field, channel_map, field_shape,
+                   frobenius_norm, sigmoid)
 from .objective import nuisance_mean, separation
 from .sve import GateParams, gate_map, group_means, init_gate_params, patch_entropies
 
@@ -41,7 +42,6 @@ __all__ = [
     "init_solver_params",
     "init_head_params",
     "conv3x3_reflect",
-    "channel_map",
     "memory_update",
     "init_state",
     "step",
@@ -289,9 +289,11 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
     """One unrolled step; returns (next state, gate plane used).
 
     Raises :class:`NumericalError` naming the step when the new C or N has a
-    non-finite entry (an overflow from finite inputs).
+    non-finite entry (an overflow from finite inputs).  A non-finite entry of
+    D fails the conv's input check: it reaches the residual, and C + N is
+    finite (the previous step checked it, or C and N were built from D).
     """
-    dfield = as_field(dfield, "step")
+    dfield = field_shape(dfield, "step")
     if not 0 <= int(k) < params.steps:
         raise ConfigError(f"step index {k} out of range [0, {params.steps})")
     k = int(k)

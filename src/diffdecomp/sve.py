@@ -16,7 +16,6 @@ from . import rng
 from .core import (
     ConfigError,
     PatchLayout,
-    as_field,
     channel_map,
     field_shape,
     sigmoid,
@@ -150,7 +149,11 @@ def sve_map(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
 
 
 def gate_map(residual, params: GateParams) -> np.ndarray:
-    """Gate plane sigmoid(scale * SVE + shift) of the reduced absolute residual."""
-    r = as_field(residual, "gate_map")
+    """Gate plane sigmoid(scale * SVE + shift) of the reduced absolute residual.
+
+    The reduced field is non-finite wherever the residual is, so the batched
+    SVD's input check rejects a non-finite residual.
+    """
+    r = field_shape(residual, "gate_map")
     s = sve_map(channel_map(params.reducer, np.abs(r)), params.patch_side, params.epsilon)
     return sigmoid(params.scale * s + params.shift)

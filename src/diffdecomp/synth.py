@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .core import ConfigError, PatchLayout, as_plane
+from .core import ConfigError, PatchLayout
 
 __all__ = ["SynthSpec", "SynthInstance", "BitemporalPair", "gen_instance", "gen_bitemporal"]
 
@@ -89,12 +89,8 @@ def _labels_plane(spec: SynthSpec) -> np.ndarray:
 
 def _patch_groups(labels: np.ndarray, layout: PatchLayout):
     """Patch indices touching any positive label, and the complement."""
-    labels = as_plane(labels)
-    changed, unchanged = [], []
-    for j in range(layout.n_patches):
-        rs, cs = layout.slices(j)
-        (changed if np.any(labels[rs, cs] > 0.0) else unchanged).append(j)
-    return tuple(changed), tuple(unchanged)
+    hit = np.any(layout.tiles(labels[None, :, :]) > 0.0, axis=(1, 2))
+    return tuple(np.flatnonzero(hit).tolist()), tuple(np.flatnonzero(~hit).tolist())
 
 
 def _raised_cosine(n: int, phase: float) -> np.ndarray:
@@ -110,68 +106,47 @@ def _smooth_sheet(spec: SynthSpec) -> np.ndarray:
     return spec.nuisance_amplitude * np.outer(row, col)
 
 
-def _validate_spec(spec: SynthSpec) -> None:
+def _draw(spec: SynthSpec):
+    """The draw both kinds share: (layout, labels, patch groups, change, background).
+
+    change: per-channel i.i.d. N(0,1) texture * change_amplitude, masked to
+    the rectangles.  background: rank-1 raised-cosine sheet (seeded phase,
+    identical across channels) * nuisance_amplitude, plus i.i.d. noise *
+    noise_sigma.
+    """
     if spec.channels < 1:
         raise ConfigError(f"channels must be positive, got {spec.channels}")
     if spec.noise_sigma < 0 or spec.change_amplitude < 0 or spec.nuisance_amplitude < 0:
         raise ConfigError("amplitudes must be non-negative")
-    PatchLayout.for_shape(spec.height, spec.width, spec.patch_side)
+    layout = PatchLayout.for_shape(spec.height, spec.width, spec.patch_side)
+    labels = _labels_plane(spec)
+    shape = (spec.channels, spec.height, spec.width)
+    texture = spec.change_amplitude * rng.normals(spec.seed, STREAM_TEXTURE, shape)
+    change = texture * labels[None, :, :]
+    noise = spec.noise_sigma * rng.normals(spec.seed, STREAM_NOISE, shape)
+    background = _smooth_sheet(spec)[None, :, :] + noise
+    return layout, labels, _patch_groups(labels, layout), change, background
 
 
 def gen_instance(spec: SynthSpec) -> SynthInstance:
     """Deterministic decomposition instance for a spec.
 
-    c_star: per-channel i.i.d. N(0,1) texture * change_amplitude, masked to
-    the rectangles.  n_star: rank-1 raised-cosine sheet (seeded phase,
-    identical across channels) * nuisance_amplitude, plus i.i.d. noise *
-    noise_sigma.  dfield is computed as ``c_star + n_star`` so the additive
-    split holds bit-exactly.
+    c_star is the masked change texture and n_star the background (see
+    :func:`_draw`).  dfield is computed as ``c_star + n_star`` so the
+    additive split holds bit-exactly.
     """
-    _validate_spec(spec)
-    layout = PatchLayout.for_shape(spec.height, spec.width, spec.patch_side)
-    labels = _labels_plane(spec)
-    shape = (spec.channels, spec.height, spec.width)
-    texture = spec.change_amplitude * rng.normals(spec.seed, STREAM_TEXTURE, shape)
-    c_star = texture * labels[None, :, :]
-    noise = spec.noise_sigma * rng.normals(spec.seed, STREAM_NOISE, shape)
-    n_star = _smooth_sheet(spec)[None, :, :] + noise
-    dfield = c_star + n_star
-    changed, unchanged = _patch_groups(labels, layout)
-    return SynthInstance(
-        spec=spec,
-        dfield=dfield,
-        c_star=c_star,
-        n_star=n_star,
-        labels=labels,
-        layout=layout,
-        changed_patches=changed,
-        unchanged_patches=unchanged,
-    )
+    layout, labels, groups, change, background = _draw(spec)
+    return SynthInstance(spec, change + background, change, background, labels, layout, *groups)
 
 
 def gen_bitemporal(spec: SynthSpec) -> BitemporalPair:
     """Deterministic bi-temporal pair.
 
-    f1 is the shared background (rank-1 sheet + noise); f2 adds a constant
+    f1 is the background (rank-1 sheet + noise); f2 adds a constant
     illumination offset and the masked change texture on top of f1.  With a
     zero offset and no rectangles the two fields are bit-identical; in
     general ``f2 - f1`` recovers ``offset + change`` up to float64 rounding.
     """
-    _validate_spec(spec)
-    layout = PatchLayout.for_shape(spec.height, spec.width, spec.patch_side)
-    labels = _labels_plane(spec)
-    shape = (spec.channels, spec.height, spec.width)
-    noise = spec.noise_sigma * rng.normals(spec.seed, STREAM_NOISE, shape)
-    f1 = _smooth_sheet(spec)[None, :, :] + noise
-    texture = spec.change_amplitude * rng.normals(spec.seed, STREAM_TEXTURE, shape)
-    f2 = f1 + spec.illumination + texture * labels[None, :, :]
-    changed, unchanged = _patch_groups(labels, layout)
-    return BitemporalPair(
-        spec=spec,
-        f1=f1,
-        f2=f2,
-        labels=labels,
-        layout=layout,
-        changed_patches=changed,
-        unchanged_patches=unchanged,
-    )
+    layout, labels, groups, change, background = _draw(spec)
+    f2 = background + spec.illumination + change
+    return BitemporalPair(spec, background, f2, labels, layout, *groups)

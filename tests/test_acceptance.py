@@ -71,9 +71,7 @@ def fitted_default_model():
 def eval_instance_fields(cfg, model, seed):
     """(dfield, patch groups, solver run) for one evaluation seed."""
     item = gen_instance(make_spec(cfg, seed))
-    dfield, _labels, groups = difference_field(
-        ("instance", item), model.align, bool(cfg.use_align)
-    )
+    dfield, _labels, groups = difference_field(item, model.align, bool(cfg.use_align))
     return dfield, groups, run(dfield, model.solver, patch_groups=groups)
 
 
@@ -361,7 +359,7 @@ def test_criterion_09_band_keeps_nuisance_in_range():
             result = fit_on_batch(cfg)
             item = gen_instance(make_spec(cfg, cfg.seed + 10_000))
             dfield, _labels, _groups = difference_field(
-                ("instance", item), result.params.align, bool(cfg.use_align)
+                item, result.params.align, bool(cfg.use_align)
             )
             solver_run = run(dfield, result.params.solver)
             mu = nuisance_mean(solver_run.final.n)

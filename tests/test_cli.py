@@ -77,6 +77,22 @@ def test_bad_rectangle_is_config_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [("k-sweep", "k_max = -1"), ("fit", "iterations = -3"), ("fit", "epsilon = -1")],
+)
+def test_negative_setting_is_config_error(capsys, tmp_path, command, line):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(TINY_CFG + line + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--seed", "0", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{line.split()[0]}' must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_sve_prior_requires_params(capsys, tmp_path, tiny_cfg):
     code = main(
         ["sve-prior", "--seed", "0", "--config", tiny_cfg, "--out", str(tmp_path / "x.csv")]

@@ -1,5 +1,7 @@
 """Experiment drivers: config parsing, row builders, invariant checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,10 @@ def test_mapping_validates_semantics():
         config_from_mapping({"rectangles": "1,2,3"})
     with pytest.raises(ConfigError):
         config_from_mapping({"lam_rec": "soft"})
+    for key in ("steps", "iterations", "k_max", "epsilon"):
+        with pytest.raises(ConfigError, match=f"'{key}' must be >= 0"):
+            config_from_mapping({key: "-1"})
+    assert config_from_mapping({"epsilon": "0"}).epsilon == 0.0
 
 
 @pytest.mark.parametrize(
@@ -133,7 +139,7 @@ def test_make_model_flags():
     model = make_model(variant)
     assert model.solver.gate_bypass is True
     assert model.solver.memory_bypass is True
-    assert make_model(TINY, steps=4).solver.steps == 4
+    assert make_model(replace(TINY, steps=4)).solver.steps == 4
 
 
 def test_make_stage_staging_switch():
@@ -148,21 +154,21 @@ def test_make_stage_staging_switch():
 def test_difference_field_modes():
     inst = gen_instance(make_spec(TINY, 4))
     model = make_model(TINY)
-    dfield, labels, groups = difference_field(("instance", inst), model.align, True)
+    dfield, labels, groups = difference_field(inst, model.align, True)
     assert dfield is inst.dfield and labels is inst.labels
     assert groups == (inst.changed_patches, inst.unchanged_patches)
 
     pair = gen_bitemporal(make_spec(TINY, 4))
-    raw, _labels, _groups = difference_field(("pair", pair), model.align, False)
+    raw, _labels, _groups = difference_field(pair, model.align, False)
     assert np.array_equal(raw, pair.f2 - pair.f1)
-    aligned, _labels, _groups = difference_field(("pair", pair), model.align, True)
+    aligned, _labels, _groups = difference_field(pair, model.align, True)
     assert not np.array_equal(aligned, raw)  # alignment moves the shared offset
 
 
 def test_evaluate_instance_composition():
     model = make_model(TINY)
     stage = make_stage(TINY)
-    item = ("instance", gen_instance(make_spec(TINY, 9)))
+    item = gen_instance(make_spec(TINY, 9))
     solver_run, report, f1 = evaluate_instance(model, item, TINY, stage)
     assert len(solver_run.states) == TINY.steps + 1
     assert report.total == report.seg + resolve_lam_rec(TINY) * report.rec + report.ssec

@@ -276,6 +276,21 @@ def test_step_overflow_is_numerical_error(rng):
             step(dfield, init_state(dfield), params, 0)
 
 
+# The conv's input check is the step's: a bad entry of D reaches the
+# residual, and the failure is one ConfigError with no warning on the way.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_dfield_is_config_error(rng, bad):
+    params = random_params(rng, 2, steps=2, patch_side=4, seed=6)
+    dfield = rng.normal(0.0, 1.0, (2, 8, 8))
+    state = init_state(dfield)
+    dfield[1, 3, 5] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        step(dfield, state, params, 0)
+    with pytest.raises(ConfigError, match="non-finite"):
+        run(dfield, params)
+
+
 def test_step_index_validated(rng):
     params = init_solver_params(2, steps=2, reduced_channels=2, patch_side=4)
     dfield = rng.normal(0.0, 1.0, (2, 8, 8))

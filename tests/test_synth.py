@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffdecomp.core import ConfigError
+from diffdecomp import rng
+from diffdecomp.core import ConfigError, PatchLayout
 from diffdecomp.sve import patch_entropies
-from diffdecomp.synth import SynthSpec, gen_bitemporal, gen_instance
+from diffdecomp.synth import SynthSpec, _patch_groups, gen_bitemporal, gen_instance
 from diffdecomp.wavelet import dwt2_haar
 
 
@@ -134,3 +135,79 @@ def test_bitemporal_determinism_and_change_support():
 def test_additivity_property(seed):
     inst = gen_instance(SynthSpec(seed=seed, height=16, width=16, rectangles=((2, 2, 6, 6),)))
     assert np.array_equal(inst.dfield, inst.c_star + inst.n_star)
+
+
+# ---------------------------------------------------------------- reference draw
+
+
+def _raised_cosine(n, phase):
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * (np.arange(n, dtype=np.float64) / n + phase)))
+
+
+def reference_draw(spec):
+    """(labels, change, background) by the documented construction: texture
+    from normals stream 1, noise from normals stream 2, sheet phases from
+    uniforms stream 3."""
+    shape = (spec.channels, spec.height, spec.width)
+    labels = np.zeros((spec.height, spec.width))
+    for r0, c0, hh, ww in spec.rectangles:
+        labels[r0 : r0 + hh, c0 : c0 + ww] = 1.0
+    change = spec.change_amplitude * rng.normals(spec.seed, 1, shape) * labels
+    phases = rng.uniforms(spec.seed, 3, 2)
+    sheet = spec.nuisance_amplitude * np.outer(
+        _raised_cosine(spec.height, phases[0]), _raised_cosine(spec.width, phases[1])
+    )
+    background = sheet + spec.noise_sigma * rng.normals(spec.seed, 2, shape)
+    return labels, change, background
+
+
+REFERENCE_SPECS = [
+    SynthSpec(seed=0),
+    SynthSpec(seed=1, rectangles=()),
+    SynthSpec(seed=2, rectangles=((0, 0, 32, 32),), illumination=0.0),
+    SynthSpec(seed=3, channels=3, height=16, width=24, patch_side=4,
+              rectangles=((2, 2, 6, 6), (4, 5, 9, 3)), illumination=-0.7),
+    SynthSpec(seed=2**40, channels=1, noise_sigma=0.0, change_amplitude=2.5),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_generators_match_reference_draw(spec):
+    labels, change, background = reference_draw(spec)
+    inst = gen_instance(spec)
+    assert np.array_equal(inst.labels, labels)
+    assert np.array_equal(inst.c_star, change)
+    assert np.array_equal(inst.n_star, background)
+    assert np.array_equal(inst.dfield, change + background)
+    pair = gen_bitemporal(spec)
+    assert np.array_equal(pair.labels, labels)
+    assert np.array_equal(pair.f1, background)
+    assert np.array_equal(pair.f2, background + spec.illumination + change)
+    assert pair.changed_patches == inst.changed_patches
+    assert pair.unchanged_patches == inst.unchanged_patches
+
+
+def loop_patch_groups(labels, layout):
+    changed, unchanged = [], []
+    for j in range(layout.n_patches):
+        rs, cs = layout.slices(j)
+        (changed if np.any(labels[rs, cs] > 0.0) else unchanged).append(j)
+    return tuple(changed), tuple(unchanged)
+
+
+@pytest.mark.parametrize("kind", ["random", "empty", "full", "pixel"])
+def test_patch_groups_match_per_patch_loop(kind):
+    layout = PatchLayout.for_shape(24, 32, 8)
+    labels = np.zeros((24, 32))
+    if kind == "random":
+        # mostly negative, so about half the patches hold no positive entry
+        labels = np.random.default_rng(5).random((24, 32)) - 0.99
+    elif kind == "full":
+        labels[:] = 1.0
+    elif kind == "pixel":
+        labels[13, 21] = 1.0
+    groups = _patch_groups(labels, layout)
+    assert groups == loop_patch_groups(labels, layout)
+    assert all(type(j) is int for group in groups for j in group)
+    if kind == "random":
+        assert groups[0] and groups[1]

@@ -127,9 +127,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"mode must be 'instance' or 'bitemporal', got {cfg.mode!r}")
     if cfg.instances < 1 or cfg.eval_seeds < 1:
         raise ConfigError("instances and eval_seeds must be >= 1")
-    for key in ("steps", "iterations", "k_max", "epsilon"):
+    for key in ("steps", "iterations", "k_max", "epsilon", "learning_rate"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)}")
+    if cfg.step_size <= 0:
+        raise ConfigError(f"config key 'step_size' must be > 0, got {cfg.step_size}")
     if cfg.band_lo > cfg.band_hi:
         raise ConfigError(f"band ({cfg.band_lo}, {cfg.band_hi}) is inverted")
     if cfg.lam_rec != "auto":
@@ -245,6 +247,11 @@ def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: St
     patch groups themselves.
     """
     dfield, labels, _groups = difference_field(item, model.align, bool(cfg.use_align))
+    return _evaluate_field(model, dfield, labels, cfg, stage)
+
+
+def _evaluate_field(model: ModelParams, dfield, labels, cfg: ExperimentConfig, stage: StageConfig):
+    """:func:`evaluate_instance` on an item's difference field and labels."""
     solver_run = run(dfield, model.solver)
     _, probs, mask = predict(solver_run.final.c, model.head)
     report = total_loss(dfield, labels, solver_run.states, probs, stage, resolve_lam_rec(cfg))
@@ -261,23 +268,33 @@ def _mean_report(reports) -> LossReport:
 
 def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
                  stage: StageConfig | None = None) -> FitResult:
-    """Fit the configured groups on the config's instance batch."""
+    """Fit the configured groups on the config's instance batch.
+
+    Unless ``align`` is fitted, each item's difference field is the same for
+    every bundle the fit tries, so it is made once, before the fit.
+    """
     if model is None:
         model = make_model(cfg)
     if stage is None:
         stage = make_stage(cfg)
     batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
-
-    def batch_report(bundle: ModelParams) -> LossReport:
-        reports = [evaluate_instance(bundle, item, cfg, stage)[1] for item in batch]
-        return _mean_report(reports)
-
     fit_cfg = FitConfig(
         learning_rate=cfg.learning_rate,
         iterations=cfg.iterations,
         step_size=cfg.step_size,
         groups=tuple(g.strip() for g in cfg.groups.split(",") if g.strip()),
     )
+
+    def fields_of(bundle: ModelParams):
+        return [difference_field(item, bundle.align, bool(cfg.use_align)) for item in batch]
+
+    fixed = None if "align" in fit_cfg.groups else fields_of(model)
+
+    def batch_report(bundle: ModelParams) -> LossReport:
+        fields = fields_of(bundle) if fixed is None else fixed
+        return _mean_report([_evaluate_field(bundle, d, labels, cfg, stage)[1]
+                             for d, labels, _groups in fields])
+
     return fit_model(model, batch_report, fit_cfg)
 
 

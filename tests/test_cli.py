@@ -79,7 +79,12 @@ def test_bad_rectangle_is_config_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "command, line",
-    [("k-sweep", "k_max = -1"), ("fit", "iterations = -3"), ("fit", "epsilon = -1")],
+    [
+        ("k-sweep", "k_max = -1"),
+        ("fit", "iterations = -3"),
+        ("fit", "epsilon = -1"),
+        ("fit", "learning_rate = -5"),
+    ],
 )
 def test_negative_setting_is_config_error(capsys, tmp_path, command, line):
     cfg = tmp_path / "neg.cfg"
@@ -89,6 +94,19 @@ def test_negative_setting_is_config_error(capsys, tmp_path, command, line):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"'{line.split()[0]}' must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-4"])
+def test_non_positive_step_size_is_config_error(capsys, tmp_path, value):
+    cfg = tmp_path / "step.cfg"
+    cfg.write_text(TINY_CFG + f"step_size = {value}\n")
+    out = tmp_path / "model.params"
+    code = main(["fit", "--seed", "0", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'step_size' must be > 0" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diffdecomp import experiments
 from diffdecomp.core import ConfigError
 from diffdecomp.experiments import (
     BAND_GRID,
@@ -18,6 +19,7 @@ from diffdecomp.experiments import (
     evaluate_instance,
     fit_on_batch,
     ksweep_rows,
+    make_item,
     make_model,
     make_spec,
     make_stage,
@@ -29,6 +31,8 @@ from diffdecomp.experiments import (
     sensitivity_rows,
     sve_prior_rows,
 )
+from diffdecomp.fit import FitConfig, fit_model
+from diffdecomp.params import dumps_params
 from diffdecomp.sve import patch_entropies
 from diffdecomp.synth import gen_bitemporal, gen_instance
 
@@ -81,6 +85,12 @@ def test_mapping_validates_semantics():
         with pytest.raises(ConfigError, match=f"'{key}' must be >= 0"):
             config_from_mapping({key: "-1"})
     assert config_from_mapping({"epsilon": "0"}).epsilon == 0.0
+    with pytest.raises(ConfigError, match="'learning_rate' must be >= 0"):
+        config_from_mapping({"learning_rate": "-0.05"})
+    assert config_from_mapping({"learning_rate": "0"}).learning_rate == 0.0
+    for raw in ("0", "-1e-4"):
+        with pytest.raises(ConfigError, match="'step_size' must be > 0"):
+            config_from_mapping({"step_size": raw})
 
 
 @pytest.mark.parametrize(
@@ -183,6 +193,38 @@ def test_fit_on_batch_deterministic():
     assert np.array_equal(a.theta, b.theta)
     assert [r.total for r in a.curve] == [r.total for r in b.curve]
     assert len(a.curve) == 3
+
+
+@pytest.mark.parametrize("groups", ["steps,head", "steps,align"])
+def test_fit_on_batch_fields_match_per_evaluation(monkeypatch, groups):
+    cfg = replace(TINY, mode="bitemporal", instances=2, iterations=2, groups=groups)
+    calls = []
+    real_suppress = experiments.suppress_pair
+
+    def counting_suppress(*args):
+        calls.append(1)
+        return real_suppress(*args)
+
+    monkeypatch.setattr(experiments, "suppress_pair", counting_suppress)
+    result = fit_on_batch(cfg)
+    if "align" in groups:
+        assert len(calls) > cfg.instances
+    else:  # one aligned field per item for the whole fit
+        assert len(calls) == cfg.instances
+
+    # reference: every loss evaluation aligns and differences each item again
+    stage = make_stage(cfg)
+    batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
+
+    def batch_report(bundle):
+        reports = [evaluate_instance(bundle, item, cfg, stage)[1] for item in batch]
+        return experiments._mean_report(reports)
+
+    fit_cfg = FitConfig(learning_rate=cfg.learning_rate, iterations=cfg.iterations,
+                        step_size=cfg.step_size, groups=tuple(groups.split(",")))
+    reference = fit_model(make_model(cfg), batch_report, fit_cfg)
+    assert dumps_params(result.params) == dumps_params(reference.params)
+    assert result.curve == reference.curve
 
 
 # ------------------------------------------------------------------ row builders

@@ -1,17 +1,21 @@
 """Finite-difference gradients and the plain descent loop."""
 
 import json
+import os
 import pathlib
+import time
 
 import numpy as np
 import pytest
 
-from diffdecomp.core import ConfigError
+import diffdecomp.fit as fit_module
+from diffdecomp.core import ConfigError, NumericalError
 from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model
 from diffdecomp.fit import (
     FitConfig,
     FitDivergedError,
     FitError,
+    _Workers,
     apply_theta,
     fd_gradient,
     fit,
@@ -115,6 +119,178 @@ def test_curves_are_reproducible():
     run2 = fit(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), cfg)
     assert np.array_equal(run1[0], run2[0])
     assert [r.total for r in run1[1]] == [r.total for r in run2[1]]
+
+
+# ------------------------------------------------------------------ forked gradients
+
+
+def with_cpus(monkeypatch, n, run):
+    """``run()`` as if this process could use ``n`` CPUs, with fits of any length forking."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(fit_module, "MIN_FORK_EVALUATIONS", 0)
+    return run()
+
+
+def squares(th):
+    return report_of(np.sum(th**2))
+
+
+def raised(run):
+    """(type, message) of what ``run()`` raises."""
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of os.fork calls made while the test runs."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def test_forked_fd_gradient_matches_serial(rng):
+    a = rng.uniform(0.5, 2.0, 7)
+    theta = rng.normal(0.0, 1.0, 7)
+
+    def loss(th):
+        return float(np.sum(a * th * th) + np.sum(np.sin(th)))
+
+    workers = _Workers(loss, 1e-4, theta.size, 3)
+    try:
+        forked = fd_gradient(loss, theta, 1e-4, workers=workers)
+        again = fd_gradient(loss, theta + 0.5, 1e-4, workers=workers)
+    finally:
+        workers.close()
+    assert np.array_equal(forked, fd_gradient(loss, theta))
+    assert np.array_equal(again, fd_gradient(loss, theta + 0.5))
+
+
+def test_busy_helper_takes_fewer_coordinates(tmp_path):
+    # The helper sleeps at every evaluation and this process does not, so
+    # this process takes more than an equal share of the queue.
+    me = os.getpid()
+    log = tmp_path / "evaluations"
+
+    def loss(th):
+        if os.getpid() != me:
+            time.sleep(0.05)
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return float(np.sum(np.cos(th)))
+
+    theta = np.linspace(-1.0, 1.0, 12)
+    workers = _Workers(loss, 1e-4, theta.size, 2)
+    try:
+        forked = fd_gradient(loss, theta, 1e-4, workers=workers)
+    finally:
+        workers.close()
+    pids = log.read_text(encoding="utf-8").split()
+    assert len(pids) == 2 * theta.size
+    assert pids.count(str(me)) > theta.size
+    assert np.array_equal(forked, fd_gradient(loss, theta))
+
+
+def test_forked_fit_matches_serial(monkeypatch, forks):
+    a = np.linspace(0.5, 2.0, 7)
+
+    def report_fn(th):
+        return report_of(np.sum(a * (th - 1.0) ** 2) + np.sum(np.sin(th)))
+
+    cfg = FitConfig(learning_rate=0.1, iterations=5)
+    serial = with_cpus(monkeypatch, 1, lambda: fit(report_fn, np.zeros(7), cfg))
+    assert forks == []
+    forked = with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.zeros(7), cfg))
+    assert len(forks) == 2
+    assert np.array_equal(serial[0], forked[0])
+    assert serial[1] == forked[1]
+
+
+def test_forked_fit_on_batch_matches_serial(monkeypatch, forks):
+    cfg = ExperimentConfig(instances=2, iterations=2)
+    serial = with_cpus(monkeypatch, 1, lambda: fit_on_batch(cfg))
+    forked = with_cpus(monkeypatch, 2, lambda: fit_on_batch(cfg))
+    assert len(forks) == 1
+    assert np.array_equal(serial.theta, forked.theta)
+    assert serial.curve == forked.curve
+    assert dumps_params(serial.params) == dumps_params(forked.params)
+
+
+# Six coordinates that three processes take from one queue in any split.
+@pytest.mark.parametrize("bad", [(1,), (3,), (5,), (1, 4), (3, 5), (2, 3, 4)])
+def test_forked_fit_names_lowest_bad_coordinate(monkeypatch, forks, bad):
+    def report_fn(th):
+        return report_of(float("nan") if np.any(th[list(bad)] != 0.0) else np.sum(th**2))
+
+    def run():
+        return fit(report_fn, np.zeros(6), FitConfig(iterations=1))
+
+    serial = with_cpus(monkeypatch, 1, lambda: raised(run))
+    forked = with_cpus(monkeypatch, 3, lambda: raised(run))
+    assert forks
+    assert serial == forked
+    assert serial[0] is FitError and f"coordinate {bad[0]} " in serial[1]
+
+
+@pytest.mark.parametrize("error", [NumericalError, ConfigError])
+def test_forked_fit_passes_loss_errors_on(monkeypatch, forks, error):
+    # The loss fails once theta has moved, and only where coordinate 3 is
+    # perturbed up or 4 down: mid-fit, in whichever process takes them.
+    def report_fn(th):
+        if th[3] > 0.5 and th[3] > th[4] + 1e-6:
+            raise error(f"loss refused theta[3] = {float(th[3])!r}")
+        return report_of(np.sum((th - 2.0) ** 2))
+
+    def run():
+        return fit(report_fn, np.zeros(6), FitConfig(learning_rate=0.1, iterations=5))
+
+    serial = with_cpus(monkeypatch, 1, lambda: raised(run))
+    forked = with_cpus(monkeypatch, 3, lambda: raised(run))
+    assert len(forks) == 2
+    assert serial == forked
+    assert serial[0] is error and serial[1].startswith("loss refused theta[3] = 0.72")
+
+
+def test_forked_fit_divergence_alarm(monkeypatch, forks):
+    def run():
+        return fit(
+            lambda th: report_of(1.0 + np.sum((100.0 * th) ** 2)),
+            np.full(4, 0.01),
+            FitConfig(learning_rate=0.05, iterations=3),
+        )
+
+    serial = with_cpus(monkeypatch, 1, lambda: raised(run))
+    forked = with_cpus(monkeypatch, 2, lambda: raised(run))
+    assert len(forks) == 1
+    assert serial == forked and serial[0] is FitDivergedError
+
+
+@pytest.mark.parametrize("cpus, size, iterations", [(1, 6, 3), (4, 6, 0), (4, 1, 3), (4, 0, 3)])
+def test_fit_forks_nothing_without_shares(monkeypatch, forks, cpus, size, iterations):
+    cfg = FitConfig(learning_rate=0.1, iterations=iterations)
+    with_cpus(monkeypatch, cpus, lambda: fit(squares, np.ones(size), cfg))
+    assert forks == []
+
+
+def test_short_fit_forks_nothing(monkeypatch, forks):
+    # 2 * 6 parameters * 3 iterations = 36 loss evaluations
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    fit(squares, np.ones(6), FitConfig(learning_rate=0.1, iterations=3))
+    assert forks == []
+
+
+def test_fit_rejects_bad_step_before_forking(monkeypatch, forks):
+    cfg = FitConfig(iterations=3, step_size=0.0)
+    with pytest.raises(ConfigError, match="step_size"):
+        with_cpus(monkeypatch, 4, lambda: fit(squares, np.ones(6), cfg))
+    assert forks == []
 
 
 # ------------------------------------------------------------------ packing

@@ -70,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("ablation", "fit and evaluate the 8 gating/align/staged variants")
     add("k-sweep", "fit and evaluate at unroll depths 0..k_max")
     add("sensitivity", "margin, band, and weight sweeps of the staged penalty")
-    p_check = add("check", "run the invariant suite", needs_seed=False, needs_out=False)
-    p_check.add_argument("--inject", type=str, default=None, help=argparse.SUPPRESS)
+    add("check", "run the invariant suite", needs_seed=False, needs_out=False)
     return parser
 
 
@@ -172,8 +171,8 @@ def cmd_fit(cfg: ExperimentConfig, out_path: str) -> int:
     return 0
 
 
-def cmd_check(seed: int, inject, out_path) -> int:
-    results = run_checks(seed, inject)
+def cmd_check(seed: int, out_path) -> int:
+    results = run_checks(seed)
     for name, ok, detail in results:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
     if out_path:
@@ -195,7 +194,7 @@ def cmd_check(seed: int, inject, out_path) -> int:
 def _run(args) -> int:
     if args.command == "check":
         seed = args.seed if args.seed is not None else 0
-        return cmd_check(seed, args.inject, args.out)
+        return cmd_check(seed, args.out)
 
     cfg = _load_config(args)
     if args.command == "gen":

@@ -94,6 +94,8 @@ def _selected_leaves(groups):
     for g in groups:
         if g not in PARAMETER_GROUPS:
             raise ConfigError(f"unknown parameter group {g!r}; know {sorted(PARAMETER_GROUPS)}")
+    if len(set(groups)) < len(groups):
+        raise ConfigError(f"parameter groups {', '.join(groups)} repeat a group")
     return [leaf for g in groups for leaf in LEAVES if leaf.group == g]
 
 

@@ -10,7 +10,7 @@ components (N absorbing everything) at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,7 @@ DICE_SMOOTH = 1.0
 
 @dataclass(frozen=True)
 class StageConfig:
-    """Staged-regularizer settings.
-
-    ``early``/``late`` are 1-based step indices: early steps pay the
-    separation-margin hinge, late steps pay the nuisance-band hinge.  The
-    default split for K steps is {1..ceil(K/2)} / {ceil(K/2)+1..K}.
-    """
+    """Staged-regularizer settings; the run's depth K sets the stages (see :func:`staged_loss`)."""
 
     margin: float = 0.3
     band_lo: float = 0.05
@@ -50,24 +45,6 @@ class StageConfig:
     weight_margin: float = 0.5
     weight_band: float = 1.0
     epsilon: float = 1e-8
-    early: tuple = (1, 2)
-    late: tuple = (3,)
-
-    @classmethod
-    def for_steps(cls, steps: int, **kwargs) -> "StageConfig":
-        steps = int(steps)
-        if steps < 0:
-            raise ConfigError(f"steps must be non-negative, got {steps}")
-        split = math.ceil(steps / 2)
-        cfg = cls(early=tuple(range(1, split + 1)), late=tuple(range(split + 1, steps + 1)))
-        return replace(cfg, **kwargs) if kwargs else cfg
-
-    def validate(self, steps: int) -> None:
-        if self.band_lo > self.band_hi:
-            raise ConfigError(f"band ({self.band_lo}, {self.band_hi}) is inverted")
-        for k in (*self.early, *self.late):
-            if not 1 <= k <= steps:
-                raise ConfigError(f"stage step {k} outside 1..{steps}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +101,12 @@ def staged_loss(states, config: StageConfig):
     """(exploration, constraint, weighted sum) of a run's per-step states.
 
     ``states[k]`` must expose ``.c`` and ``.n`` for k = 0..K (index = step).
+    Early steps 1..ceil(K/2) pay the separation-margin hinge, late steps
+    ceil(K/2)+1..K the nuisance-band hinge.
     """
-    steps = len(states) - 1
-    config.validate(steps)
-    seps = [separation(states[k].c, states[k].n, config.epsilon) for k in config.early]
-    mus = [nuisance_mean(states[k].n) for k in config.late]
+    split = math.ceil((len(states) - 1) / 2)
+    seps = [separation(s.c, s.n, config.epsilon) for s in states[1 : split + 1]]
+    mus = [nuisance_mean(s.n) for s in states[split + 1 :]]
     exp = exploration_loss(seps, config.margin)
     con = band_loss(mus, config.band_lo, config.band_hi)
     return exp, con, float(config.weight_margin * exp + config.weight_band * con)

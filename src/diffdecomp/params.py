@@ -217,16 +217,19 @@ def loads_params(text: str) -> ModelParams:
         if value < 0:
             raise ConfigError(f"{name}: must be non-negative, got {value}")
     patch_side = get_int("patch_side")
+    if patch_side < 1:
+        raise ConfigError(f"patch_side: must be >= 1, got {patch_side}")
     memory_bypass = bool(get_int("memory_bypass"))
     gate_bypass = bool(get_int("gate_bypass", "0"))
     epsilon = get_value("epsilon", ())
+    if epsilon < 0:
+        raise ConfigError(f"epsilon: must be >= 0, got {epsilon!r}")
     threshold = get_value("threshold", ())
     fields = {}  # container path -> {attribute: value}, filled in file order
     for leaf in LEAVES:
         container, name = leaf.path.rsplit(".", 1)
         fields.setdefault(container, {})[name] = get_value(leaf.key, leaf.shape(*dims.values()))
     solver = SolverParams(
-        steps=dims["steps"],
         mem_c=MemoryCell(**fields["solver.mem_c"]),
         mem_n=MemoryCell(**fields["solver.mem_n"]),
         gate=GateParams(patch_side=patch_side, epsilon=epsilon, **fields["solver.gate"]),

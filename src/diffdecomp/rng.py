@@ -26,6 +26,8 @@ import math
 
 import numpy as np
 
+from .core import ConfigError
+
 __all__ = ["stream", "uniforms", "normals", "uniform_array"]
 
 _U53 = 2.0**-53
@@ -36,9 +38,9 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
     seed = int(seed)
     stream_id = int(stream_id)
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if not 0 <= stream_id < 2**64:
-        raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
+        raise ConfigError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
     return np.random.Generator(np.random.Philox(key=seed + (stream_id << 64)))
 
 

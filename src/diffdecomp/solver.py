@@ -78,7 +78,6 @@ class MemoryCell:
 class SolverParams:
     """All learnable and structural solver settings (see module docstring)."""
 
-    steps: int
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
@@ -95,6 +94,11 @@ class SolverParams:
     @property
     def channels(self) -> int:
         return int(self.phi_c.shape[0])
+
+    @property
+    def steps(self) -> int:
+        """The unroll depth K: alpha, beta and gamma hold one scalar per step."""
+        return len(self.alpha)
 
 
 @dataclass
@@ -200,7 +204,6 @@ def init_solver_params(
     bound = 1.0 / np.sqrt(27.0 * d)
     half = np.full(steps, 0.5)
     return SolverParams(
-        steps=steps,
         alpha=half.copy(),
         beta=half.copy(),
         gamma=half.copy(),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffdecomp import experiments
 from diffdecomp.cli import main
 from diffdecomp.params import load_params
 from diffdecomp.tensorio import read_tensor
@@ -84,6 +85,7 @@ def test_bad_rectangle_is_config_error(capsys, tmp_path):
         ("fit", "iterations = -3"),
         ("fit", "epsilon = -1"),
         ("fit", "learning_rate = -5"),
+        ("gen", "seed = -1"),
     ],
 )
 def test_negative_setting_is_config_error(capsys, tmp_path, command, line):
@@ -95,6 +97,34 @@ def test_negative_setting_is_config_error(capsys, tmp_path, command, line):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"'{line.split()[0]}' must be >= 0" in err
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--seed", "-1"], ["fit", "--seed", "-5"], ["check", "--seed", "-1"]]
+)
+def test_negative_seed_is_config_error(capsys, tmp_path, tiny_cfg, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--config", tiny_cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        ("fit", "groups = head,steps,head", "repeat a group"),
+        ("sve-prior", "groups = steps,nonsense", "unknown parameter group 'nonsense'"),
+        ("contraction", "groups = Head", "unknown parameter group 'Head'"),
+    ],
+)
+def test_bad_groups_are_config_errors(capsys, tmp_path, command, line, message):
+    cfg = tmp_path / "groups.cfg"
+    cfg.write_text(TINY_CFG + line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -185,10 +215,14 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_check_injection_fails(capsys):
-    assert main(["check", "--inject", "closure"]) == 2
+def test_check_injection_fails(capsys, monkeypatch):
+    real = experiments.consistency_distance
+    monkeypatch.setattr(experiments, "consistency_distance", lambda *a: real(*a) + 1e-6)
+    assert main(["check"]) == 2
     out = capsys.readouterr().out
     assert "FAIL closure" in out
+    assert main(["check", "--inject", "closure"]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_check_writes_csv(capsys, tmp_path):

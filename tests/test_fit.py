@@ -1,8 +1,10 @@
 """Finite-difference gradients and the plain descent loop."""
 
+import contextlib
 import json
 import os
 import pathlib
+import signal
 import time
 
 import numpy as np
@@ -144,16 +146,18 @@ def raised(run):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The list of os.fork calls made while the test runs."""
-    calls = []
+    """The pids of the processes os.fork makes while the test runs."""
+    pids = []
     real_fork = os.fork
 
-    def counting_fork():
-        calls.append(os.getpid())
-        return real_fork()
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def test_forked_fd_gradient_matches_serial(rng):
@@ -293,6 +297,59 @@ def test_fit_rejects_bad_step_before_forking(monkeypatch, forks):
     assert forks == []
 
 
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_helper_death_raises_and_leaves_no_child(monkeypatch, forks):
+    me = os.getpid()
+
+    def report_fn(th):
+        if os.getpid() != me:
+            os._exit(3)
+        time.sleep(0.01)  # the helper takes a coordinate before this process takes them all
+        return squares(th)
+
+    with deadline(60), pytest.raises(RuntimeError, match="exited without a reply"):
+        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
+    assert_reaped(forks)
+
+
+def test_interrupt_propagates_and_leaves_no_child(monkeypatch, forks):
+    me = os.getpid()
+    calls = []
+
+    def report_fn(th):
+        if os.getpid() == me:
+            calls.append(1)
+            if len(calls) == 3:  # after the initial loss, with the helpers running
+                raise KeyboardInterrupt
+        return squares(th)
+
+    with deadline(60), pytest.raises(KeyboardInterrupt):
+        with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
+    assert_reaped(forks)
+
+
 # ------------------------------------------------------------------ packing
 
 
@@ -357,6 +414,8 @@ def test_unknown_group_rejected():
     params = init_model_params(channels=2, steps=1, reduced_channels=2, patch_side=4)
     with pytest.raises(ConfigError, match="unknown parameter group"):
         pack_params(params, ("nonsense",))
+    with pytest.raises(ConfigError, match="repeat a group"):
+        pack_params(params, ("head", "steps", "head"))
 
 
 def test_group_union_covers_every_leaf():

@@ -22,6 +22,7 @@ from diffdecomp.objective import (
     staged_loss,
     total_loss,
 )
+from diffdecomp.solver import init_solver_params
 
 
 class FakeState:
@@ -102,26 +103,28 @@ def test_hinges_non_negative(value, margin):
 # ------------------------------------------------------------------ stage config
 
 
+# K -> (number of early steps, late steps): {1..ceil(K/2)} / {ceil(K/2)+1..K}
+SPLITS = {0: (0, ()), 1: (1, ()), 2: (1, (2,)), 3: (2, (3,)), 4: (2, (3, 4))}
+
+
 def test_stage_split_for_steps():
-    cfg3 = StageConfig.for_steps(3)
-    assert cfg3.early == (1, 2) and cfg3.late == (3,)
-    cfg4 = StageConfig.for_steps(4)
-    assert cfg4.early == (1, 2) and cfg4.late == (3, 4)
-    cfg1 = StageConfig.for_steps(1)
-    assert cfg1.early == (1,) and cfg1.late == ()
-    cfg0 = StageConfig.for_steps(0)
-    assert cfg0.early == () and cfg0.late == ()
-    cfg2 = StageConfig.for_steps(2, margin=0.7)
-    assert cfg2.early == (1,) and cfg2.late == (2,) and cfg2.margin == 0.7
+    # At step k, C = N = k: every early step has separation ~0 and pays the
+    # whole margin, and every late step k pays k - band_hi.
+    cfg = StageConfig(margin=0.3, band_lo=0.0, band_hi=0.5)
+    for steps, (early, late) in SPLITS.items():
+        states = [FakeState(np.full((1, 2, 2), k), np.full((1, 2, 2), k))
+                  for k in range(steps + 1)]
+        exp, con, _ssec = staged_loss(states, cfg)
+        assert exp == pytest.approx(0.3 * early, abs=1e-8)
+        assert con == sum(k - 0.5 for k in late)
 
 
 def test_stage_validation():
-    with pytest.raises(ConfigError):
-        StageConfig(early=(1,), late=(4,)).validate(3)
-    with pytest.raises(ConfigError):
-        StageConfig(band_lo=0.5, band_hi=0.1).validate(3)
-    with pytest.raises(ConfigError):
-        StageConfig.for_steps(-1)
+    states = [FakeState(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))] * 4
+    with pytest.raises(ConfigError, match="inverted"):
+        staged_loss(states, StageConfig(band_lo=0.5, band_hi=0.1))
+    with pytest.raises(ConfigError, match="steps"):
+        init_solver_params(2, steps=-1)
 
 
 def test_staged_loss_hand_case():
@@ -130,8 +133,7 @@ def test_staged_loss_hand_case():
         FakeState(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 2.0)),  # aligned: d ~ 0
         FakeState(np.zeros((1, 1, 1)), np.full((1, 1, 1), 0.5)),      # mu = 0.5
     ]
-    cfg = StageConfig(margin=0.3, band_lo=0.05, band_hi=0.4,
-                      weight_margin=0.5, weight_band=1.0, early=(1,), late=(2,))
+    cfg = StageConfig(margin=0.3, band_lo=0.05, band_hi=0.4, weight_margin=0.5, weight_band=1.0)
     exp, con, ssec = staged_loss(states, cfg)
     assert exp == pytest.approx(0.3, abs=1e-8)
     assert con == pytest.approx(0.1, abs=1e-15)
@@ -188,7 +190,7 @@ def test_total_loss_composition(rng):
     ]
     probs = rng.uniform(0.1, 0.9, (4, 4))
     labels = (rng.uniform(0.0, 1.0, (4, 4)) > 0.5).astype(np.float64)
-    cfg = StageConfig.for_steps(2)
+    cfg = StageConfig()
     lam = 0.25
     report = total_loss(d, labels, states, probs, cfg, lam_rec=lam)
     assert report.total == report.seg + lam * report.rec + report.ssec

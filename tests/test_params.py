@@ -195,3 +195,12 @@ def test_negative_dimension_rejected():
     text = _with_line(_valid_lines(), "channels", "channels = -1")
     with pytest.raises(ConfigError, match="channels"):
         loads_params(text)
+
+
+@pytest.mark.parametrize(
+    "line", ["epsilon = -1.0", "epsilon = -5e-324", "patch_side = 0", "patch_side = -4"]
+)
+def test_out_of_range_setting_rejected(line):
+    key = _key(line)
+    with pytest.raises(ConfigError, match=rf"^{key}: must be >= "):
+        loads_params(_with_line(_valid_lines(), key, line))

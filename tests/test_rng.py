@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from diffdecomp import rng
+from diffdecomp.core import ConfigError
 
 
 def test_stream_determinism():
@@ -67,5 +68,5 @@ def test_uniform_array_bounds():
 
 @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (2**64, 0), (0, -3), (0, 2**64)])
 def test_stream_rejects_out_of_range(seed, stream_id):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         rng.stream(seed, stream_id)

@@ -51,11 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="diffdecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_seed=True, needs_out=True):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, required=needs_seed, default=None)
+        p.add_argument("--seed", type=int, required=True)
         p.add_argument("--config", type=str, default=None, help="flat name=value file")
-        p.add_argument("--out", type=str, required=needs_out, default=None)
+        p.add_argument("--out", type=str, required=True)
         return p
 
     add("gen", "generate instances to PUFD tensors in the output directory")
@@ -70,21 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
     add("ablation", "fit and evaluate the 8 gating/align/staged variants")
     add("k-sweep", "fit and evaluate at unroll depths 0..k_max")
     add("sensitivity", "margin, band, and weight sweeps of the staged penalty")
-    add("check", "run the invariant suite", needs_seed=False, needs_out=False)
+    p_check = sub.add_parser("check", help="run the invariant suite")
+    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--out", type=str, default=None, help="optional results CSV")
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         if not os.path.isfile(args.config):
             raise UsageError(f"config file not found: {args.config}")
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config_text(fh.read())
     else:
         cfg = ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=int(args.seed))
-    return cfg
+    return dataclasses.replace(cfg, seed=args.seed)
 
 
 def _load_fitted(path):
@@ -105,7 +105,9 @@ def _spec_record(spec) -> str:
 
 
 def cmd_gen(cfg: ExperimentConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+    # Every item is drawn before the directory is made, so a failed draw
+    # leaves nothing behind.
+    files = []
     manifest = []
     records = []
     for i in range(cfg.instances):
@@ -122,7 +124,7 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: str) -> int:
             ]
         for name, tensor in tensors:
             fname = f"seed{item.spec.seed}_{name}.pufd"
-            write_tensor(os.path.join(out_dir, fname), tensor)
+            files.append((fname, tensor))
             manifest.append(
                 {
                     "seed": item.spec.seed,
@@ -131,6 +133,9 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: str) -> int:
                     "shape": "x".join(str(s) for s in tensor.shape),
                 }
             )
+    os.makedirs(out_dir, exist_ok=True)
+    for fname, tensor in files:
+        write_tensor(os.path.join(out_dir, fname), tensor)
     with open(os.path.join(out_dir, "specs.txt"), "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(records) + "\n")
     write_csv(
@@ -193,8 +198,7 @@ def cmd_check(seed: int, out_path) -> int:
 
 def _run(args) -> int:
     if args.command == "check":
-        seed = args.seed if args.seed is not None else 0
-        return cmd_check(seed, args.out)
+        return cmd_check(args.seed, args.out)
 
     cfg = _load_config(args)
     if args.command == "gen":

@@ -249,9 +249,7 @@ def difference_field(item, align: AlignParams, use_align: bool):
 def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: StageConfig):
     """(run, LossReport, f1) of one generated item under a bundle.
 
-    Skips the per-step SVE trace statistics (the loss does not use them);
-    reporting paths that want them call :func:`diffdecomp.solver.run` with
-    patch groups themselves.
+    Per-group SVE is not computed here; :func:`sve_prior_rows` reports it.
     """
     dfield, labels, _groups = difference_field(item, model.align, bool(cfg.use_align))
     return _evaluate_field(model, dfield, labels, cfg, stage)

@@ -29,7 +29,7 @@ from . import rng
 from .core import (ConfigError, NumericalError, as_field, channel_map, field_shape,
                    frobenius_norm, sigmoid)
 from .objective import nuisance_mean, separation
-from .sve import GateParams, gate_map, group_means, init_gate_params, patch_entropies
+from .sve import GateParams, gate_map, init_gate_params
 
 __all__ = [
     "MemoryCell",
@@ -128,8 +128,6 @@ class TraceRow:
     res_norm: float
     mu_n: float
     separation: float
-    sve_changed: float | None = None
-    sve_unchanged: float | None = None
     gate_min: float | None = None
     gate_mean: float | None = None
     gate_max: float | None = None
@@ -141,18 +139,13 @@ class SolverRun:
 
     ``states[k]`` is the (C, N) pair after k steps (index 0 = initial state);
     ``gates[k]`` is the gate plane used in step k; ``trace`` has one row per
-    state.  The trace is computed on first read from the states, the gates
-    and the values the run recorded: the input field ``dfield``, the gate's
-    ``patch_side`` and ``epsilon`` at run time, and ``patch_groups``.  A run
-    whose trace is never read pays nothing for it.
+    state.  The trace is computed on first read from the states and gates
+    alone (the input field D is ``states[0].n``, the run's own copy), so a
+    run whose trace is never read pays nothing for it.
     """
 
     states: tuple
     gates: tuple
-    dfield: np.ndarray
-    patch_side: int
-    epsilon: float
-    patch_groups: tuple | None = None
 
     @property
     def final(self) -> SolverState:
@@ -160,9 +153,9 @@ class SolverRun:
 
     @cached_property
     def trace(self) -> tuple:
+        dfield = self.states[0].n
         return tuple(
-            _trace_row(self.dfield, state, k, self.patch_side, self.epsilon,
-                       self.patch_groups, self.gates[k - 1] if k else None)
+            _trace_row(dfield, state, k, self.gates[k - 1] if k else None)
             for k, state in enumerate(self.states)
         )
 
@@ -330,11 +323,8 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
     return SolverState(c=new_c, n=new_n, mem_c=mem_c, mem_n=mem_n), gate
 
 
-def _trace_row(dfield, state, k, patch_side, epsilon, patch_groups, gate) -> TraceRow:
+def _trace_row(dfield, state, k, gate) -> TraceRow:
     res = frobenius_norm(dfield - (state.c + state.n))
-    sve_ch = sve_un = None
-    if patch_groups is not None:
-        sve_ch, sve_un = group_means(patch_entropies(state.c, patch_side, epsilon), patch_groups)
     gmin = gmean = gmax = None
     if gate is not None:
         gmin, gmean, gmax = float(gate.min()), float(gate.mean()), float(gate.max())
@@ -343,20 +333,14 @@ def _trace_row(dfield, state, k, patch_side, epsilon, patch_groups, gate) -> Tra
         res_norm=res,
         mu_n=nuisance_mean(state.n),
         separation=separation(state.c, state.n),
-        sve_changed=sve_ch,
-        sve_unchanged=sve_un,
         gate_min=gmin,
         gate_mean=gmean,
         gate_max=gmax,
     )
 
 
-def run(dfield, params: SolverParams, patch_groups=None) -> SolverRun:
-    """Unroll all steps from the canonical initial state.
-
-    ``patch_groups``, when given as (changed, unchanged) patch index sets,
-    enables the per-group SVE columns of the trace.
-    """
+def run(dfield, params: SolverParams) -> SolverRun:
+    """Unroll all steps from the canonical initial state."""
     dfield = as_field(dfield, "run")
     if dfield.shape[0] != params.channels:
         raise ConfigError(
@@ -369,16 +353,7 @@ def run(dfield, params: SolverParams, patch_groups=None) -> SolverRun:
         state, gate = step(dfield, state, params, k)
         states.append(state)
         gates.append(gate)
-    # The initial nuisance is the run's own copy of D: the trace reads it,
-    # not the caller's array, which may change before the trace is read.
-    return SolverRun(
-        states=tuple(states),
-        gates=tuple(gates),
-        dfield=states[0].n,
-        patch_side=params.gate.patch_side,
-        epsilon=params.gate.epsilon,
-        patch_groups=patch_groups,
-    )
+    return SolverRun(states=tuple(states), gates=tuple(gates))
 
 
 def predict(c_field, head: HeadParams):

@@ -72,7 +72,7 @@ def eval_instance_fields(cfg, model, seed):
     """(dfield, patch groups, solver run) for one evaluation seed."""
     item = gen_instance(make_spec(cfg, seed))
     dfield, _labels, groups = difference_field(item, model.align, bool(cfg.use_align))
-    return dfield, groups, run(dfield, model.solver, patch_groups=groups)
+    return dfield, groups, run(dfield, model.solver)
 
 
 # ---------------------------------------------------------------------------

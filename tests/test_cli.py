@@ -69,13 +69,16 @@ def test_bad_config_key(capsys, tmp_path):
 
 
 def test_bad_rectangle_is_config_error(capsys, tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("rectangles = 0,0,a,4\n")
-    code = main(["gen", "--seed", "0", "--config", str(bad), "--out", str(tmp_path / "g")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'0,0,a,4'" in err
-    assert len(err.strip().splitlines()) == 1
+    # one that does not parse, and one that the draw finds outside the 8x8 grid
+    for rect, message in [("0,0,a,4", "'0,0,a,4'"), ("2,2,30,30", "exceeds the 8x8 grid")]:
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG.replace("0,0,4,4", rect))
+        out = tmp_path / "g"
+        assert main(["gen", "--seed", "0", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -105,9 +108,12 @@ def test_negative_setting_is_config_error(capsys, tmp_path, command, line):
 )
 def test_negative_seed_is_config_error(capsys, tmp_path, tiny_cfg, argv):
     out = tmp_path / "out"
-    assert main([*argv, "--config", tiny_cfg, "--out", str(out)]) == 1
+    config = [] if argv[0] == "check" else ["--config", tiny_cfg]
+    assert main([*argv, *config, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: seed must be") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
 
 
 @pytest.mark.parametrize(
@@ -222,6 +228,11 @@ def test_check_injection_fails(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL closure" in out
     assert main(["check", "--inject", "closure"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_check_takes_no_config(capsys, tmp_path):
+    assert main(["check", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "usage error" in capsys.readouterr().err
 
 

@@ -21,7 +21,6 @@ from diffdecomp.fit import (
     apply_theta,
     fd_gradient,
     fit,
-    fit_model,
     pack_params,
 )
 from diffdecomp.objective import LossReport

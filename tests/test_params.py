@@ -1,6 +1,5 @@
 """Flat-text serialization of the parameter bundle: exact round trips."""
 
-import re
 import tracemalloc
 
 import numpy as np

@@ -11,7 +11,8 @@ import diffdecomp
 from diffdecomp.csvio import TOOL_VERSION
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(diffdecomp.__path__))
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def traced_names():
@@ -42,6 +43,30 @@ def test_every_exported_name_resolves(name):
 def test_every_traced_name_resolves(module, name):
     # A traced benchmark round replaces each of these; a missing one crashes it.
     assert callable(getattr(importlib.import_module(f"diffdecomp.{module}"), name, None))
+
+
+def unused_imports(path):
+    """Names bound by the file's top-level imports that it never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_unused_imports():
+    # __version__ is imported into __init__ only to be the package's attribute.
+    allowed = {("src/diffdecomp/__init__.py", "__version__")}
+    files = sorted([*(ROOT / "src" / "diffdecomp").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    found = {
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in files
+        for name in unused_imports(path)
+    }
+    assert found - allowed == set()
 
 
 def test_one_version_string():

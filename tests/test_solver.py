@@ -8,6 +8,7 @@ import pytest
 import oracles
 from diffdecomp import solver
 from diffdecomp.core import ConfigError, NumericalError, channel_map, frobenius_norm
+from diffdecomp.objective import nuisance_mean, separation
 from diffdecomp.solver import (
     HeadParams,
     MemoryCell,
@@ -313,19 +314,22 @@ def test_run_channel_mismatch(rng):
 def test_run_trace_consistency(rng):
     params = init_solver_params(2, steps=3, reduced_channels=2, patch_side=4, seed=5)
     dfield = rng.normal(0.0, 1.0, (2, 8, 8))
-    result = run(dfield, params, patch_groups=((0, 1), (2, 3)))
+    result = run(dfield, params)
     assert len(result.states) == 4 and len(result.gates) == 3 and len(result.trace) == 4
-    assert result.trace[0].res_norm == 0.0  # initial state closes the residual
-    assert result.trace[0].gate_mean is None
+    first = result.trace[0]
+    assert first.res_norm == 0.0  # initial state closes the residual
+    assert first.gate_min is None and first.gate_mean is None and first.gate_max is None
     for k, row in enumerate(result.trace):
         assert row.step == k
         state = result.states[k]
         want = frobenius_norm(dfield - (state.c + state.n))
         assert abs(row.res_norm - want) < 1e-12
+        assert row.mu_n == nuisance_mean(state.n)
+        assert row.separation == separation(state.c, state.n)
         if k > 0:
-            assert row.sve_changed is not None and row.sve_unchanged is not None
             gate = result.gates[k - 1]
             assert row.gate_min == float(gate.min())
+            assert row.gate_mean == float(gate.mean())
             assert row.gate_max == float(gate.max())
     assert result.final is result.states[-1]
 
@@ -340,7 +344,7 @@ def test_trace_is_built_on_first_read(rng, monkeypatch):
 
     monkeypatch.setattr(solver, "_trace_row", counting)
     params = init_solver_params(2, steps=3, reduced_channels=2, patch_side=4, seed=5)
-    result = run(rng.normal(0.0, 1.0, (2, 8, 8)), params, patch_groups=((0, 1), (2, 3)))
+    result = run(rng.normal(0.0, 1.0, (2, 8, 8)), params)
     assert calls == []
     trace = result.trace
     assert calls == [0, 1, 2, 3]
@@ -351,11 +355,8 @@ def test_trace_is_built_on_first_read(rng, monkeypatch):
 def test_trace_keeps_run_time_inputs(rng):
     params = init_solver_params(2, steps=3, reduced_channels=2, patch_side=4, seed=5)
     dfield = rng.normal(0.0, 1.0, (2, 8, 8))
-    groups = ((0, 1), (2, 3))
-    want = run(dfield, params, patch_groups=groups).trace
-    result = run(dfield, params, patch_groups=groups)
-    params.gate.patch_side = 3  # does not tile 8x8: a trace reading it would raise
-    params.gate.epsilon = 0.5
+    want = run(dfield, params).trace
+    result = run(dfield, params)
     dfield[:] = 0.0
     assert result.trace == want
 

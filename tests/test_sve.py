@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from diffdecomp.core import ConfigError, PatchLayout, channel_map, sigmoid, singular_values
 from diffdecomp.sve import (
-    GateParams,
     gate_map,
     group_means,
     init_gate_params,

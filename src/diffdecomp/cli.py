@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from .core import ConfigError, NumericalError
+from .core import ConfigError, NumericalError, read_utf8
 from .csvio import write_csv
 from .experiments import (
     ExperimentConfig,
@@ -80,8 +80,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         if not os.path.isfile(args.config):
             raise UsageError(f"config file not found: {args.config}")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read())
+        cfg = parse_config_text(read_utf8(args.config))
     else:
         cfg = ExperimentConfig()
     return dataclasses.replace(cfg, seed=args.seed)

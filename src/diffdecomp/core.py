@@ -25,6 +25,7 @@ __all__ = [
     "frobenius_norm",
     "channel_map",
     "parse_name_values",
+    "read_utf8",
     "singular_values",
     "singular_values_batch",
     "sigmoid",
@@ -106,6 +107,15 @@ def parse_name_values(text: str, source: str) -> dict:
         name, value = line.split("=", 1)
         table[name.strip()] = value.strip()
     return table
+
+
+def read_utf8(path) -> str:
+    """The text of the file at ``path``; one that is not UTF-8 raises :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def sigmoid(z):

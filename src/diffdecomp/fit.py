@@ -6,20 +6,19 @@ selected parameter groups enter the vector, everything else stays frozen, and
 a hard cap on the vector length keeps the scheme honest (it is meant for
 small bundles, not deep training).
 
-A fit shares each gradient's coordinates among the CPUs this process may
-use: it forks one helper process per extra CPU when it starts and reaps them
-when it ends, and every process takes coordinates one at a time from a
-common queue until none are left.  Every loss evaluation is the same
-arithmetic in a copy of the same process, so the gradient has the same bits
-as the serial loop's.
+A fit on more than one CPU forks a process pool of one worker per CPU and
+shuts it down when it ends.  Each gradient is one coordinate per task, with
+the results in coordinate order; every evaluation is the same arithmetic in a
+copy of the same process, so the gradient has the same bits as the serial
+loop's.  A dead worker raises ``BrokenProcessPool``, and workers ignore
+SIGINT.  With one CPU, or in a short fit, nothing is forked.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +44,10 @@ __all__ = [
 MAX_PARAMETERS = 2000
 # a step that multiplies the loss by more than this raises FitDivergedError
 DIVERGENCE_FACTOR = 10.0
-# the most processes (the fit's own included) that share a gradient
+# the most worker processes that share a gradient
 MAX_WORKERS = 4
 # A fit with fewer loss evaluations than this (2 * P * iterations) forks no
-# helpers: it would pay the fork and the helpers' copy-on-write warm-up for
+# workers: it would pay the fork and the workers' copy-on-write warm-up for
 # little work, and its time would follow the load on the other CPUs.
 MIN_FORK_EVALUATIONS = 100
 
@@ -147,142 +146,33 @@ def _fd_pairs(loss_fn, theta, h: float, coords) -> dict:
     return pairs
 
 
-# A queued coordinate is this many bytes, so that a whole gradient's queue
-# (2 * MAX_PARAMETERS bytes) is one atomic pipe write that fits in any pipe.
-_RECORD = 2
+# the loss a pool worker evaluates, set in each worker when it starts
+_worker_loss = None
 
 
-def _claims(tasks_fd: int, taken: list):
-    """Coordinates taken one at a time from the fit's queue until it is empty.
+def _start_worker(loss_fn) -> None:
+    """Keep ``loss_fn``, inherited by the fork; Ctrl-C is the fit process's to handle."""
+    import signal
 
-    Each read of one record takes a coordinate no other process gets.  Every
-    coordinate taken is appended to ``taken`` before it is yielded.
-    """
-    while True:
-        try:
-            record = os.read(tasks_fd, _RECORD)
-        except BlockingIOError:  # every coordinate is taken
-            return
-        if not record:  # the fit closed the queue
-            return
-        taken.append(int.from_bytes(record, "little"))
-        yield taken[-1]
+    global _worker_loss
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_loss = loss_fn
 
 
-def _take_pairs(loss_fn, theta, h: float, tasks_fd: int):
-    """``(pairs, failure)`` for the coordinates this process takes from the queue.
-
-    It stops at its first failing coordinate; ``failure`` is then
-    ``(coordinate, exception)``, else ``None``.
-    """
-    taken = []
-    try:
-        return _fd_pairs(loss_fn, theta, h, _claims(tasks_fd, taken)), None
-    except Exception as exc:
-        return {}, (taken[-1], exc)
+def _worker_pair(theta, h: float, i: int):
+    """One coordinate's pair, evaluated in a pool worker."""
+    return _fd_pairs(_worker_loss, theta, h, (i,))[i]
 
 
-def _serve(loss_fn, h: float, tasks_fd: int, commands_fd: int, replies_fd: int) -> None:
-    """A helper's loop: for each theta read, write back what it took from the queue."""
-    with os.fdopen(commands_fd, "rb") as commands, os.fdopen(replies_fd, "wb") as replies:
-        while True:
-            try:
-                theta = pickle.load(commands)
-            except EOFError:  # the fit closed its end
-                return
-            replies.write(pickle.dumps(_take_pairs(loss_fn, theta, h, tasks_fd)))
-            replies.flush()
+def _pool(loss_fn, count: int):
+    """``count`` forked processes that evaluate ``loss_fn`` for :func:`fd_gradient`."""
+    import concurrent.futures  # here, so that a process that never forks skips it
+    import multiprocessing
 
-
-class _Workers:
-    """``count`` processes for one fit that share each gradient: this one and
-    ``count - 1`` forked helpers.
-
-    The coordinates of a gradient go into one queue, a pipe that each
-    process takes them from one at a time, so a process that runs slower
-    (its CPU busy with other work) takes fewer of them and the gradient
-    waits for at most one coordinate of it.  Each child inherits ``loss_fn``
-    when it is forked and reads theta from its own pipe until that pipe
-    closes.  It leaves only through ``os._exit``, so none of this process's
-    exit handlers run twice.
-    """
-
-    def __init__(self, loss_fn, h: float, size: int, count: int):
-        self.loss_fn, self.h, self.size = loss_fn, h, size
-        self.children = []  # (pid, command writer, reply reader)
-        self.tasks_r, self.tasks_w = os.pipe()
-        os.set_blocking(self.tasks_r, False)
-        try:
-            for _ in range(count - 1):
-                self.children.append(self._fork())
-        except BaseException:
-            self.close()
-            raise
-
-    def _fork(self):
-        commands_r, commands_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            for fd in (commands_r, commands_w, replies_r, replies_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            try:
-                # only this child's own ends stay open, so that a closed
-                # pipe reads as EOF even while other helpers run
-                for _, commands, replies in self.children:
-                    os.close(commands.fileno())
-                    os.close(replies.fileno())
-                os.close(self.tasks_w)
-                os.close(commands_w)
-                os.close(replies_r)
-                _serve(self.loss_fn, self.h, self.tasks_r, commands_r, replies_w)
-            finally:
-                os._exit(0)
-        os.close(commands_r)
-        os.close(replies_w)
-        return pid, os.fdopen(commands_w, "wb"), os.fdopen(replies_r, "rb")
-
-    def pairs(self, theta) -> dict:
-        """Every coordinate's pair; a failure is the one the serial loop meets first.
-
-        Coordinates are taken in increasing order and a process stops at its
-        first failure, so every coordinate below the lowest failing one is
-        evaluated, and that one is where the serial loop stops too.
-        """
-        os.write(self.tasks_w, np.arange(self.size, dtype="<u2").tobytes())
-        for _, commands, _ in self.children:
-            pickle.dump(theta, commands)
-            commands.flush()
-        pairs, failure = _take_pairs(self.loss_fn, theta, self.h, self.tasks_r)
-        failures = [failure] if failure else []
-        for pid, _, replies in self.children:
-            try:
-                taken, failure = pickle.load(replies)
-            except EOFError:
-                raise RuntimeError(f"gradient helper {pid} exited without a reply") from None
-            pairs.update(taken)
-            failures += [failure] if failure else []
-        if failures:
-            for _ in _claims(self.tasks_r, []):  # what no process took
-                pass
-            raise min(failures, key=lambda f: f[0])[1]
-        return pairs
-
-    def close(self) -> None:
-        """Close every pipe, which ends each helper, and reap them all."""
-        for _, commands, replies in self.children:
-            with contextlib.suppress(OSError):
-                commands.close()
-            replies.close()
-        for pid, _, _ in self.children:
-            os.waitpid(pid, 0)
-        self.children = []
-        for fd in (self.tasks_r, self.tasks_w):
-            with contextlib.suppress(OSError):
-                os.close(fd)
+    fork = multiprocessing.get_context("fork")
+    return concurrent.futures.ProcessPoolExecutor(
+        count, mp_context=fork, initializer=_start_worker, initargs=(loss_fn,)
+    )
 
 
 def _worker_count(size: int, iterations: int) -> int:
@@ -293,21 +183,23 @@ def _worker_count(size: int, iterations: int) -> int:
     return max(1, min(cpus, MAX_WORKERS, size))
 
 
-def fd_gradient(loss_fn, theta, step_size: float = 1e-4, *, workers: _Workers | None = None):
+def fd_gradient(loss_fn, theta, step_size: float = 1e-4, *, pool=None):
     """Central-difference gradient of a scalar function of a vector.
 
     Raises :class:`FitError` naming the coordinate if an evaluation is
-    non-finite.  ``workers`` are the processes :func:`fit` made for
-    ``loss_fn`` and ``step_size``; without them every evaluation runs here.
+    non-finite.  ``pool`` is the one :func:`fit` made for ``loss_fn``; its
+    results come in coordinate order, so it raises the lowest failing
+    coordinate's error, as the serial loop does.  Without it every
+    evaluation runs here.
     """
     theta = np.asarray(theta, dtype=np.float64)
     h = _half_step(step_size)
-    if workers is None:
-        pairs = _fd_pairs(loss_fn, theta, h, range(theta.size))
+    if pool is None:
+        pairs = _fd_pairs(loss_fn, theta, h, range(theta.size)).values()
     else:
-        pairs = workers.pairs(theta)
+        pairs = pool.map(functools.partial(_worker_pair, theta, h), range(theta.size))
     grad = np.zeros_like(theta)
-    for i, (f_up, f_down) in pairs.items():
+    for i, (f_up, f_down) in enumerate(pairs):
         grad[i] = (f_up - f_down) / (2.0 * h)
     return grad
 
@@ -319,8 +211,8 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
     that multiplies the loss by more than ``DIVERGENCE_FACTOR`` raises
     :class:`FitDivergedError` (the divergence alarm).  When this process may
     use more than one CPU and the fit makes at least ``MIN_FORK_EVALUATIONS``
-    loss evaluations, helper processes forked here share each gradient; they
-    are reaped before this returns or raises.
+    loss evaluations, a pool of processes forked here evaluates each
+    gradient; they are reaped before this returns or raises.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     if theta.size > MAX_PARAMETERS:
@@ -335,10 +227,10 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
         raise FitError(f"initial loss is non-finite: {report.total}")
     curve = [report]
     count = _worker_count(theta.size, int(config.iterations))
-    workers = _Workers(total, h, theta.size, count) if count > 1 else None
+    pool = _pool(total, count) if count > 1 else None
     try:
         for it in range(int(config.iterations)):
-            grad = fd_gradient(total, theta, h, workers=workers)
+            grad = fd_gradient(total, theta, h, pool=pool)
             theta = theta - config.learning_rate * grad
             report = report_fn(theta)
             if not np.isfinite(report.total):
@@ -350,8 +242,8 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
                 )
             curve.append(report)
     finally:
-        if workers is not None:
-            workers.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return theta, tuple(curve)
 
 

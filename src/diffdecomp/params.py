@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, parse_name_values
+from .core import ConfigError, parse_name_values, read_utf8
 from .solver import (
     HeadParams,
     MemoryCell,
@@ -247,5 +247,4 @@ def save_params(path, params: ModelParams) -> None:
 
 
 def load_params(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_params(fh.read())
+    return loads_params(read_utf8(path))

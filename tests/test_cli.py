@@ -68,6 +68,25 @@ def test_bad_config_key(capsys, tmp_path):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option, text",
+    [
+        ("fit", "--config", b"channels = 4\n\xff = 1\n"),
+        ("sve-prior", "--params", b"format = diffdecomp-params-1\n\xff = 1\n"),
+    ],
+)
+def test_non_utf8_file_is_config_error(capsys, tmp_path, tiny_cfg, command, option, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text)
+    out = tmp_path / "out"
+    config = [] if option == "--config" else ["--config", tiny_cfg]
+    assert main([command, "--seed", "0", *config, option, str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad} is not UTF-8 text" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_rectangle_is_config_error(capsys, tmp_path):
     # one that does not parse, and one that the draw finds outside the 8x8 grid
     for rect, message in [("0,0,a,4", "'0,0,a,4'"), ("2,2,30,30", "exceeds the 8x8 grid")]:

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import signal
+import threading
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from diffdecomp.fit import (
     FitConfig,
     FitDivergedError,
     FitError,
-    _Workers,
+    _pool,
     apply_theta,
     fd_gradient,
     fit,
@@ -166,39 +167,54 @@ def test_forked_fd_gradient_matches_serial(rng):
     def loss(th):
         return float(np.sum(a * th * th) + np.sum(np.sin(th)))
 
-    workers = _Workers(loss, 1e-4, theta.size, 3)
-    try:
-        forked = fd_gradient(loss, theta, 1e-4, workers=workers)
-        again = fd_gradient(loss, theta + 0.5, 1e-4, workers=workers)
-    finally:
-        workers.close()
+    with _pool(loss, 3) as pool:
+        forked = fd_gradient(loss, theta, 1e-4, pool=pool)
+        again = fd_gradient(loss, theta + 0.5, 1e-4, pool=pool)
     assert np.array_equal(forked, fd_gradient(loss, theta))
     assert np.array_equal(again, fd_gradient(loss, theta + 0.5))
 
 
 def test_busy_helper_takes_fewer_coordinates(tmp_path):
-    # The helper sleeps at every evaluation and this process does not, so
-    # this process takes more than an equal share of the queue.
-    me = os.getpid()
-    log = tmp_path / "evaluations"
+    # The first worker to evaluate claims the marker and sleeps at every
+    # evaluation; the other does not, so it takes more of the queue.
+    marker = tmp_path / "slow"
+    log = tmp_path / "slow-evaluations"
+    slow = []  # in each process: [True] once it has claimed the marker, else [False]
 
     def loss(th):
-        if os.getpid() != me:
+        if not slow:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                slow.append(True)
+            except FileExistsError:
+                slow.append(False)
+        if slow[0]:
             time.sleep(0.05)
-        with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{os.getpid()}\n")
+            with open(log, "a", encoding="utf-8") as f:
+                f.write("slow\n")
         return float(np.sum(np.cos(th)))
 
     theta = np.linspace(-1.0, 1.0, 12)
-    workers = _Workers(loss, 1e-4, theta.size, 2)
-    try:
-        forked = fd_gradient(loss, theta, 1e-4, workers=workers)
-    finally:
-        workers.close()
-    pids = log.read_text(encoding="utf-8").split()
-    assert len(pids) == 2 * theta.size
-    assert pids.count(str(me)) > theta.size
+    with _pool(loss, 2) as pool:
+        forked = fd_gradient(loss, theta, 1e-4, pool=pool)
+    assert 0 < len(log.read_text(encoding="utf-8").split()) < theta.size
     assert np.array_equal(forked, fd_gradient(loss, theta))
+
+
+def test_workers_ignore_interrupts(tmp_path):
+    me = os.getpid()
+    log = tmp_path / "handlers"
+
+    def loss(th):
+        if os.getpid() != me:
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{signal.getsignal(signal.SIGINT)!r}\n")
+        return float(np.sum(th**2))
+
+    with _pool(loss, 2) as pool:
+        fd_gradient(loss, np.zeros(4), 1e-4, pool=pool)
+    assert log.read_text(encoding="utf-8").splitlines() == [repr(signal.SIG_IGN)] * 8
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
 def test_forked_fit_matches_serial(monkeypatch, forks):
@@ -210,8 +226,10 @@ def test_forked_fit_matches_serial(monkeypatch, forks):
     cfg = FitConfig(learning_rate=0.1, iterations=5)
     serial = with_cpus(monkeypatch, 1, lambda: fit(report_fn, np.zeros(7), cfg))
     assert forks == []
+    threads = threading.active_count()
     forked = with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.zeros(7), cfg))
-    assert len(forks) == 2
+    assert len(forks) == 3
+    assert_reaped(forks, threads)
     assert np.array_equal(serial[0], forked[0])
     assert serial[1] == forked[1]
 
@@ -220,13 +238,13 @@ def test_forked_fit_on_batch_matches_serial(monkeypatch, forks):
     cfg = ExperimentConfig(instances=2, iterations=2)
     serial = with_cpus(monkeypatch, 1, lambda: fit_on_batch(cfg))
     forked = with_cpus(monkeypatch, 2, lambda: fit_on_batch(cfg))
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert np.array_equal(serial.theta, forked.theta)
     assert serial.curve == forked.curve
     assert dumps_params(serial.params) == dumps_params(forked.params)
 
 
-# Six coordinates that three processes take from one queue in any split.
+# Six coordinates that three workers take from one queue in any split.
 @pytest.mark.parametrize("bad", [(1,), (3,), (5,), (1, 4), (3, 5), (2, 3, 4)])
 def test_forked_fit_names_lowest_bad_coordinate(monkeypatch, forks, bad):
     def report_fn(th):
@@ -236,8 +254,9 @@ def test_forked_fit_names_lowest_bad_coordinate(monkeypatch, forks, bad):
         return fit(report_fn, np.zeros(6), FitConfig(iterations=1))
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
+    threads = threading.active_count()
     forked = with_cpus(monkeypatch, 3, lambda: raised(run))
-    assert forks
+    assert_reaped(forks, threads)
     assert serial == forked
     assert serial[0] is FitError and f"coordinate {bad[0]} " in serial[1]
 
@@ -256,7 +275,7 @@ def test_forked_fit_passes_loss_errors_on(monkeypatch, forks, error):
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
     forked = with_cpus(monkeypatch, 3, lambda: raised(run))
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert serial == forked
     assert serial[0] is error and serial[1].startswith("loss refused theta[3] = 0.72")
 
@@ -271,7 +290,7 @@ def test_forked_fit_divergence_alarm(monkeypatch, forks):
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
     forked = with_cpus(monkeypatch, 2, lambda: raised(run))
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert serial == forked and serial[0] is FitDivergedError
 
 
@@ -296,11 +315,13 @@ def test_fit_rejects_bad_step_before_forking(monkeypatch, forks):
     assert forks == []
 
 
-def assert_reaped(pids):
+def assert_reaped(pids, threads):
+    """Every forked pid is reaped, and ``threads`` threads run, as before the fit."""
     assert pids
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    assert threading.active_count() == threads
 
 
 @contextlib.contextmanager
@@ -325,12 +346,12 @@ def test_helper_death_raises_and_leaves_no_child(monkeypatch, forks):
     def report_fn(th):
         if os.getpid() != me:
             os._exit(3)
-        time.sleep(0.01)  # the helper takes a coordinate before this process takes them all
         return squares(th)
 
-    with deadline(60), pytest.raises(RuntimeError, match="exited without a reply"):
+    threads = threading.active_count()
+    with deadline(60), pytest.raises(RuntimeError, match="terminated abruptly"):
         with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
-    assert_reaped(forks)
+    assert_reaped(forks, threads)
 
 
 def test_interrupt_propagates_and_leaves_no_child(monkeypatch, forks):
@@ -340,13 +361,34 @@ def test_interrupt_propagates_and_leaves_no_child(monkeypatch, forks):
     def report_fn(th):
         if os.getpid() == me:
             calls.append(1)
-            if len(calls) == 3:  # after the initial loss, with the helpers running
+            if len(calls) == 3:  # after the initial loss and two gradients
                 raise KeyboardInterrupt
         return squares(th)
 
+    threads = threading.active_count()
     with deadline(60), pytest.raises(KeyboardInterrupt):
         with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
-    assert_reaped(forks)
+    assert_reaped(forks, threads)
+
+
+def test_interrupt_during_gradient_leaves_no_child(monkeypatch, forks, tmp_path):
+    # The first worker evaluation of the second gradient sends SIGINT to the
+    # fit process, which is waiting for the workers' results.
+    me = os.getpid()
+    marker = tmp_path / "interrupted"
+
+    def report_fn(th):
+        if os.getpid() != me and np.all(th[1:] < 1.0):
+            with contextlib.suppress(FileExistsError):
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                os.kill(me, signal.SIGINT)
+        return squares(th)
+
+    threads = threading.active_count()
+    with deadline(60), pytest.raises(KeyboardInterrupt):
+        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
+    assert marker.exists()
+    assert_reaped(forks, threads)
 
 
 # ------------------------------------------------------------------ packing

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,21 @@ def test_no_unused_imports():
         for name in unused_imports(path)
     }
     assert found - allowed == set()
+
+
+def test_cli_import_loads_no_process_pool():
+    # A fit imports the pool's modules when it forks, so a process that
+    # never forks does not pay for them.
+    code = (
+        "import sys, diffdecomp.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    package_root = str(Path(diffdecomp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_one_version_string():

@@ -2,8 +2,9 @@
 
 Subcommands: gen, fit, sve-prior, contraction, ablation, k-sweep,
 sensitivity, check.  Exit codes: 0 success, 1 usage or configuration error,
-2 numerical-check failure.  With a fixed seed every command writes
-byte-identical output on repeated runs; nothing time-dependent is emitted.
+2 numerical-check failure, 130 interrupted.  With a fixed seed every command
+writes byte-identical output on repeated runs; nothing time-dependent is
+emitted.
 """
 
 from __future__ import annotations
@@ -248,6 +249,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -130,6 +130,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for key in ("seed", "steps", "iterations", "k_max", "epsilon", "learning_rate"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)}")
+    for key in ("use_align", "use_gating", "use_staged", "memory_bypass"):
+        if getattr(cfg, key) not in (0, 1):
+            raise ConfigError(f"config key {key!r} must be 0 or 1, got {getattr(cfg, key)}")
     if cfg.step_size <= 0:
         raise ConfigError(f"config key 'step_size' must be > 0, got {cfg.step_size}")
     if cfg.band_lo > cfg.band_hi:
@@ -306,16 +309,20 @@ def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
 # ---------------------------------------------------------------- experiments
 
 
+def _eval_items(cfg: ExperimentConfig):
+    """The item at each eval seed, ``cfg.seed + i`` for ``i < cfg.eval_seeds``, one at a time."""
+    for i in range(cfg.eval_seeds):
+        yield make_item(cfg, cfg.seed + i)
+
+
 def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
     """Per-seed, per-step changed/unchanged mean SVE of the change estimate.
 
     Step 0 reports the raw input field; steps 1..K report C^k.  The gap cell
     stays empty when a group is empty (pure-change or pure-nuisance specs).
     """
-    stage = make_stage(cfg)
     rows = []
-    for i in range(cfg.eval_seeds):
-        item = make_item(cfg, cfg.seed + i)
+    for item in _eval_items(cfg):
         dfield, labels, groups = difference_field(item, model.align, bool(cfg.use_align))
         solver_run = run(dfield, model.solver)
         fields = [dfield] + [state.c for state in solver_run.states[1:]]
@@ -325,7 +332,7 @@ def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
             gap = None if sve_ch is None or sve_un is None else sve_ch - sve_un
             rows.append(
                 {
-                    "seed": cfg.seed + i,
+                    "seed": item.spec.seed,
                     "step": step_idx,
                     "sve_changed": sve_ch,
                     "sve_unchanged": sve_un,
@@ -360,16 +367,14 @@ def contraction_rows(cfg: ExperimentConfig, model: ModelParams):
     decreases = []
     ratios_all = []
     rhos = []
-    for i in range(cfg.eval_seeds):
-        seed = cfg.seed + i
-        item = make_item(cfg, seed)
+    for item in _eval_items(cfg):
         dfield, _labels, _groups = difference_field(item, model.align, bool(cfg.use_align))
         solver_run = run(dfield, model.solver)
         scores = scores_from_residuals(
             [row.res_norm for row in solver_run.trace], frobenius_norm(dfield)
         )
         report = contraction_report(scores)
-        rows.extend(_report_rows(seed, report))
+        rows.extend(_report_rows(item.spec.seed, report))
         if report.decrease is not None:
             decreases.append(report.decrease)
         ratios_all.extend(r for r in report.ratios if r is not None)
@@ -392,68 +397,58 @@ def replay_rows(scores):
     return list(_CONTRACTION_COLUMNS), _report_rows("replay", contraction_report(scores))
 
 
-@dataclass(frozen=True)
-class _Scores:
-    """Means of a bundle's metrics over the eval seed range.
+def _fit_and_score(cfg: ExperimentConfig, fit: bool = True) -> dict:
+    """Means over the eval seeds of the fitted bundle's scores (with ``fit=False``, the initial's).
 
-    ``ends`` lists, per eval seed, the final change estimate and the item's
-    (changed, unchanged) patch groups, for :func:`_mean_end_gap`.
+    ``sve_gap`` is the mean changed-minus-unchanged SVE of the final change
+    estimates, over the seeds whose two patch groups are both non-empty.
     """
-
-    loss: float
-    f1: float
-    mu_n: float
-    separation: float
-    outside_band: float
-    ends: list
-
-
-def _fit_and_score(cfg: ExperimentConfig, fit: bool = True) -> _Scores:
-    """Score the fitted bundle, or with ``fit=False`` the initial one, over the eval seeds."""
     model = fit_on_batch(cfg).params if fit else make_model(cfg)
     stage = make_stage(cfg)
-    losses, f1s, mus, seps, ends = [], [], [], [], []
-    for i in range(cfg.eval_seeds):
-        item = make_item(cfg, cfg.seed + i)
+    losses, f1s, mus, seps, gaps = [], [], [], [], []
+    for item in _eval_items(cfg):
         solver_run, report, f1 = evaluate_instance(model, item, cfg, stage)
         final = solver_run.final
         losses.append(report.total)
         f1s.append(f1)
         mus.append(nuisance_mean(final.n))
         seps.append(separation(final.c, final.n, cfg.epsilon))
-        ends.append((final.c, (item.changed_patches, item.unchanged_patches)))
+        groups = (item.changed_patches, item.unchanged_patches)
+        if groups[0] and groups[1]:
+            ent = patch_entropies(final.c, cfg.patch_side, cfg.epsilon)
+            sve_ch, sve_un = group_means(ent, groups)
+            gaps.append(sve_ch - sve_un)
     outside = sum(1 for mu in mus if not cfg.band_lo <= mu <= cfg.band_hi)
     n = float(cfg.eval_seeds)
-    return _Scores(
-        loss=sum(losses) / n,
-        f1=sum(f1s) / n,
-        mu_n=sum(mus) / n,
-        separation=sum(seps) / n,
-        outside_band=outside / n,
-        ends=ends,
-    )
+    return {
+        "loss": sum(losses) / n,
+        "f1": sum(f1s) / n,
+        "mu_n": sum(mus) / n,
+        "separation": sum(seps) / n,
+        "outside_band": outside / n,
+        "sve_gap": sum(gaps) / len(gaps) if gaps else None,
+    }
+
+
+def _score_variants(variants):
+    """``_fit_and_score`` of each ``(config, fit)`` variant, fitting each distinct one once."""
+    scores = {variant: _fit_and_score(*variant) for variant in dict.fromkeys(variants)}
+    return [scores[variant] for variant in variants]
 
 
 def ablation_rows(cfg: ExperimentConfig):
     """Fit and evaluate the eight on/off variants of gating, alignment, staging."""
-    rows = []
-    for gating, align_on, staged in itertools.product((1, 0), repeat=3):
-        scores = _fit_and_score(
-            replace(cfg, use_gating=gating, use_align=align_on, use_staged=staged)
-        )
-        rows.append(
-            {
-                "gating": gating,
-                "align": align_on,
-                "staged": staged,
-                "loss": scores.loss,
-                "f1": scores.f1,
-                "mu_n": scores.mu_n,
-                "separation": scores.separation,
-                "outside_band": scores.outside_band,
-            }
-        )
-    return ["gating", "align", "staged", "loss", "f1", "mu_n", "separation", "outside_band"], rows
+    switches = list(itertools.product((1, 0), repeat=3))
+    variants = [
+        (replace(cfg, use_gating=gating, use_align=align_on, use_staged=staged), True)
+        for gating, align_on, staged in switches
+    ]
+    columns = ["gating", "align", "staged", "loss", "f1", "mu_n", "separation", "outside_band"]
+    rows = [
+        dict(zip(columns[:3], switch)) | {key: scores[key] for key in columns[3:]}
+        for switch, scores in zip(switches, _score_variants(variants))
+    ]
+    return columns, rows
 
 
 def ksweep_rows(cfg: ExperimentConfig):
@@ -463,38 +458,27 @@ def ksweep_rows(cfg: ExperimentConfig):
     width (exactly monotone in K); wall time is deliberately not part of the
     CSV so re-runs are byte-identical.
     """
-    rows = []
-    for k in range(cfg.k_max + 1):
-        variant = replace(cfg, steps=k)
-        scores = _fit_and_score(variant, fit=k > 0)
-        rows.append(
-            {
-                "k_steps": k,
-                "loss": scores.loss,
-                "f1": scores.f1,
-                "sve_gap": _mean_end_gap(variant, scores.ends),
-                "cost_units": k * cfg.channels * cfg.height * cfg.width,
-            }
-        )
+    depths = range(cfg.k_max + 1)
+    variants = [(replace(cfg, steps=k), k > 0) for k in depths]
+    rows = [
+        {
+            "k_steps": k,
+            "loss": scores["loss"],
+            "f1": scores["f1"],
+            "sve_gap": scores["sve_gap"],
+            "cost_units": k * cfg.channels * cfg.height * cfg.width,
+        }
+        for k, scores in zip(depths, _score_variants(variants))
+    ]
     return ["k_steps", "loss", "f1", "sve_gap", "cost_units"], rows
 
 
-def _mean_end_gap(cfg: ExperimentConfig, ends):
-    """Mean changed-minus-unchanged SVE of the final change estimates.
-
-    ``ends`` is :attr:`_Scores.ends`; seeds with an empty group are skipped
-    before any entropy is computed.
-    """
-    gaps = []
-    for c, groups in ends:
-        if groups[0] and groups[1]:
-            sve_ch, sve_un = group_means(patch_entropies(c, cfg.patch_side, cfg.epsilon), groups)
-            gaps.append(sve_ch - sve_un)
-    return sum(gaps) / len(gaps) if gaps else None
-
-
 def sensitivity_rows(cfg: ExperimentConfig):
-    """Refit and score each staged-regularizer setting over three sweeps."""
+    """Refit and score each staged-regularizer setting over three sweeps.
+
+    A setting equal to the config's own (``is_default``) is the same variant
+    in each sweep, so it is fitted once.
+    """
     settings = (
         *(("margin", f"{m:g}", {"margin": m}) for m in MARGIN_GRID),
         *(("band", f"{lo:g}/{hi:g}", {"band_lo": lo, "band_hi": hi}) for lo, hi in BAND_GRID),
@@ -503,18 +487,17 @@ def sensitivity_rows(cfg: ExperimentConfig):
             for we, wc in WEIGHT_GRID
         ),
     )
-    rows = []
-    for sweep, value, changes in settings:
-        scores = _fit_and_score(replace(cfg, **changes))
-        rows.append(
-            {
-                "sweep": sweep,
-                "value": value,
-                "f1": scores.f1,
-                "loss": scores.loss,
-                "is_default": int(all(getattr(cfg, k) == v for k, v in changes.items())),
-            }
-        )
+    variants = [(replace(cfg, **changes), True) for _sweep, _value, changes in settings]
+    rows = [
+        {
+            "sweep": sweep,
+            "value": value,
+            "f1": scores["f1"],
+            "loss": scores["loss"],
+            "is_default": int(all(getattr(cfg, k) == v for k, v in changes.items())),
+        }
+        for (sweep, value, changes), scores in zip(settings, _score_variants(variants))
+    ]
     return ["sweep", "value", "f1", "loss", "is_default"], rows
 
 

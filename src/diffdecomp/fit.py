@@ -10,7 +10,7 @@ A fit on more than one CPU forks a process pool of one worker per CPU and
 shuts it down when it ends.  Each gradient is one coordinate per task, with
 the results in coordinate order; every evaluation is the same arithmetic in a
 copy of the same process, so the gradient has the same bits as the serial
-loop's.  A dead worker raises ``BrokenProcessPool``, and workers ignore
+loop's.  A dead worker raises ``ChildProcessError``, and workers ignore
 SIGINT.  With one CPU, or in a short fit, nothing is forked.
 """
 
@@ -127,23 +127,17 @@ def _half_step(step_size) -> float:
     return h
 
 
-def _fd_pairs(loss_fn, theta, h: float, coords) -> dict:
-    """``i -> (f(theta + h e_i), f(theta - h e_i))`` for each coordinate ``i`` in ``coords``.
-
-    Raises :class:`FitError` at the first coordinate with a non-finite value.
-    """
-    pairs = {}
-    for i in coords:
-        up = theta.copy()
-        up[i] += h
-        down = theta.copy()
-        down[i] -= h
-        f_up = float(loss_fn(up))
-        f_down = float(loss_fn(down))
-        if not (np.isfinite(f_up) and np.isfinite(f_down)):
-            raise FitError(f"non-finite loss at coordinate {i} (+{h}: {f_up}, -{h}: {f_down})")
-        pairs[i] = (f_up, f_down)
-    return pairs
+def _fd_pair(loss_fn, theta, h: float, i: int):
+    """``(f(theta + h e_i), f(theta - h e_i))``; a non-finite value raises :class:`FitError`."""
+    up = theta.copy()
+    up[i] += h
+    down = theta.copy()
+    down[i] -= h
+    f_up = float(loss_fn(up))
+    f_down = float(loss_fn(down))
+    if not (np.isfinite(f_up) and np.isfinite(f_down)):
+        raise FitError(f"non-finite loss at coordinate {i} (+{h}: {f_up}, -{h}: {f_down})")
+    return f_up, f_down
 
 
 # the loss a pool worker evaluates, set in each worker when it starts
@@ -161,7 +155,7 @@ def _start_worker(loss_fn) -> None:
 
 def _worker_pair(theta, h: float, i: int):
     """One coordinate's pair, evaluated in a pool worker."""
-    return _fd_pairs(_worker_loss, theta, h, (i,))[i]
+    return _fd_pair(_worker_loss, theta, h, i)
 
 
 def _pool(loss_fn, count: int):
@@ -195,7 +189,7 @@ def fd_gradient(loss_fn, theta, step_size: float = 1e-4, *, pool=None):
     theta = np.asarray(theta, dtype=np.float64)
     h = _half_step(step_size)
     if pool is None:
-        pairs = _fd_pairs(loss_fn, theta, h, range(theta.size)).values()
+        pairs = map(functools.partial(_fd_pair, loss_fn, theta, h), range(theta.size))
     else:
         pairs = pool.map(functools.partial(_worker_pair, theta, h), range(theta.size))
     grad = np.zeros_like(theta)
@@ -241,6 +235,14 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
                     f"iteration {it}: loss rose from {previous:.6g} to {report.total:.6g}"
                 )
             curve.append(report)
+    except RuntimeError as exc:
+        if pool is None:
+            raise
+        from concurrent.futures.process import BrokenProcessPool  # loaded with the pool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        raise ChildProcessError(str(exc)) from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

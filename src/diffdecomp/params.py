@@ -219,8 +219,10 @@ def loads_params(text: str) -> ModelParams:
     patch_side = get_int("patch_side")
     if patch_side < 1:
         raise ConfigError(f"patch_side: must be >= 1, got {patch_side}")
-    memory_bypass = bool(get_int("memory_bypass"))
-    gate_bypass = bool(get_int("gate_bypass", "0"))
+    memory_bypass, gate_bypass = get_int("memory_bypass"), get_int("gate_bypass", "0")
+    for name, value in (("memory_bypass", memory_bypass), ("gate_bypass", gate_bypass)):
+        if value not in (0, 1):
+            raise ConfigError(f"{name}: must be 0 or 1, got {value}")
     epsilon = get_value("epsilon", ())
     if epsilon < 0:
         raise ConfigError(f"epsilon: must be >= 0, got {epsilon!r}")
@@ -233,8 +235,8 @@ def loads_params(text: str) -> ModelParams:
         mem_c=MemoryCell(**fields["solver.mem_c"]),
         mem_n=MemoryCell(**fields["solver.mem_n"]),
         gate=GateParams(patch_side=patch_side, epsilon=epsilon, **fields["solver.gate"]),
-        memory_bypass=memory_bypass,
-        gate_bypass=gate_bypass,
+        memory_bypass=bool(memory_bypass),
+        gate_bypass=bool(gate_bypass),
         **fields["solver"],
     )
     head = HeadParams(threshold=threshold, **fields["head"])

@@ -1,11 +1,14 @@
 """Command-line tool: exit codes, file outputs, byte-identical reruns."""
 
+import os
+
 import numpy as np
 import pytest
 
 from diffdecomp import experiments
 from diffdecomp.cli import main
-from diffdecomp.params import load_params
+from diffdecomp.objective import LossReport
+from diffdecomp.params import dumps_params, load_params
 from diffdecomp.tensorio import read_tensor
 
 TINY_CFG = """\
@@ -162,6 +165,79 @@ def test_non_positive_step_size_is_config_error(capsys, tmp_path, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'step_size' must be > 0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("fit", "use_gating = 7"),
+        ("ablation", "memory_bypass = -3"),
+        ("gen", "use_align = 2"),
+        ("sensitivity", "use_staged = -1"),
+    ],
+)
+def test_switch_other_than_0_or_1_is_config_error(capsys, tmp_path, command, line):
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text(TINY_CFG + line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{line.split()[0]}' must be 0 or 1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["memory_bypass = 2", "gate_bypass = -1"])
+def test_params_switch_other_than_0_or_1_is_config_error(capsys, tmp_path, tiny_cfg, line):
+    key = line.split()[0]
+    text = dumps_params(experiments.make_model(experiments.parse_config_text(TINY_CFG)))
+    assert f"\n{key} = 0\n" in text
+    params = tmp_path / "model.params"
+    params.write_text(text.replace(f"\n{key} = 0\n", f"\n{line}\n"))
+    out = tmp_path / "sve.csv"
+    argv = ["sve-prior", "--seed", "0", "--config", tiny_cfg, "--params", str(params)]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: must be 0 or 1") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_interrupt_exits_130(capsys, tmp_path, tiny_cfg, monkeypatch):
+    from diffdecomp import cli
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "fit_on_batch", interrupted)
+    out = tmp_path / "m"
+    assert main(["fit", "--seed", "0", "--config", tiny_cfg, "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not out.exists()
+
+
+def test_dead_pool_worker_is_one_error_line(capsys, tmp_path, tiny_cfg, monkeypatch):
+    # The fit forks a pool of two workers, and each exits as it takes a task.
+    from diffdecomp import cli, fit
+
+    me = os.getpid()
+
+    def report_fn(th):
+        if os.getpid() != me:
+            os._exit(3)
+        return LossReport(seg=0.0, rec=0.0, exp=0.0, con=0.0, ssec=0.0, total=float(th @ th))
+
+    def dying_fit(cfg):
+        return fit.fit(report_fn, np.ones(6), fit.FitConfig(iterations=3))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fit, "MIN_FORK_EVALUATIONS", 0)
+    monkeypatch.setattr(cli, "fit_on_batch", dying_fit)
+    out = tmp_path / "m"
+    assert main(["fit", "--seed", "0", "--config", tiny_cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: A process in the process pool was terminated abruptly")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 

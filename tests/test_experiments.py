@@ -32,8 +32,9 @@ from diffdecomp.experiments import (
     sve_prior_rows,
 )
 from diffdecomp.fit import FitConfig, fit_model
+from diffdecomp.objective import nuisance_mean, separation
 from diffdecomp.params import dumps_params
-from diffdecomp.sve import patch_entropies
+from diffdecomp.sve import group_means, patch_entropies
 from diffdecomp.synth import gen_bitemporal, gen_instance
 from diffdecomp.wavelet import Subbands
 
@@ -295,6 +296,110 @@ def test_sensitivity_rows_grids():
     assert sum(r["is_default"] for r in by_sweep["margin"]) == 1
     assert sum(r["is_default"] for r in by_sweep["band"]) == 1
     assert sum(r["is_default"] for r in by_sweep["weights"]) == 1
+
+
+def test_sensitivity_fits_each_distinct_setting_once(monkeypatch):
+    # the default margin, band and weights are one variant, fitted once
+    fitted = []
+
+    def counted(cfg):
+        fitted.append(cfg)
+        return fit_on_batch(cfg)
+
+    monkeypatch.setattr(experiments, "fit_on_batch", counted)
+    sensitivity_rows(TINY)
+    assert len(fitted) == 14 and len(set(fitted)) == 14
+
+
+def slow_scores(cfg, fit=True):
+    """One variant's table scores by the slow path: its own fit, then each eval seed in turn."""
+    model = fit_on_batch(cfg).params if fit else make_model(cfg)
+    stage = make_stage(cfg)
+    seeds = []
+    for i in range(cfg.eval_seeds):
+        item = make_item(cfg, cfg.seed + i)
+        solver_run, report, f1 = evaluate_instance(model, item, cfg, stage)
+        c, n = solver_run.final.c, solver_run.final.n
+        groups = (item.changed_patches, item.unchanged_patches)
+        sve_ch, sve_un = group_means(patch_entropies(c, cfg.patch_side, cfg.epsilon), groups)
+        seeds.append(
+            {
+                "loss": report.total,
+                "f1": f1,
+                "mu_n": nuisance_mean(n),
+                "separation": separation(c, n, cfg.epsilon),
+                "outside_band": float(not cfg.band_lo <= nuisance_mean(n) <= cfg.band_hi),
+                "gap": None if sve_ch is None or sve_un is None else sve_ch - sve_un,
+            }
+        )
+    scores = {key: sum(s[key] for s in seeds) / len(seeds) for key in seeds[0] if key != "gap"}
+    gaps = [s["gap"] for s in seeds if s["gap"] is not None]
+    return {**scores, "sve_gap": sum(gaps) / len(gaps) if gaps else None}
+
+
+# At this noise level the instance config's staged hinges are active, so its
+# sensitivity table has 6 distinct rows and its ablation 4 distinct losses.
+SWEEP_CONFIGS = {
+    "instance": replace(TINY, iterations=2, groups="steps,head", k_max=2, noise_sigma=0.5),
+    "bitemporal": replace(
+        TINY, mode="bitemporal", iterations=2, groups="steps,gate", k_max=2, eval_seeds=3
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SWEEP_CONFIGS))
+def test_sweep_tables_match_the_slow_path(mode):
+    cfg = SWEEP_CONFIGS[mode]
+    ablation = []
+    for gating, align_on, staged in [(g, a, s) for g in (1, 0) for a in (1, 0) for s in (1, 0)]:
+        scores = slow_scores(replace(cfg, use_gating=gating, use_align=align_on, use_staged=staged))
+        metrics = ("loss", "f1", "mu_n", "separation", "outside_band")
+        switches = {"gating": gating, "align": align_on, "staged": staged}
+        ablation.append({**switches, **{key: scores[key] for key in metrics}})
+    assert experiments.ablation_rows(cfg)[1] == ablation
+
+    ksweep = []
+    for k in range(cfg.k_max + 1):
+        scores = slow_scores(replace(cfg, steps=k), fit=k > 0)
+        ksweep.append(
+            {
+                "k_steps": k,
+                "loss": scores["loss"],
+                "f1": scores["f1"],
+                "sve_gap": scores["sve_gap"],
+                "cost_units": k * cfg.channels * cfg.height * cfg.width,
+            }
+        )
+    assert ksweep_rows(cfg)[1] == ksweep
+
+    sensitivity = []
+    settings = [("margin", f"{m:g}", {"margin": m}) for m in MARGIN_GRID]
+    settings += [("band", f"{lo:g}/{hi:g}", {"band_lo": lo, "band_hi": hi}) for lo, hi in BAND_GRID]
+    settings += [
+        ("weights", f"{we:g}/{wb:g}", {"weight_margin": we, "weight_band": wb})
+        for we, wb in WEIGHT_GRID
+    ]
+    for sweep, value, changes in settings:
+        scores = slow_scores(replace(cfg, **changes))
+        default = all(getattr(cfg, key) == v for key, v in changes.items())
+        sensitivity.append(
+            {
+                "sweep": sweep,
+                "value": value,
+                "f1": scores["f1"],
+                "loss": scores["loss"],
+                "is_default": int(default),
+            }
+        )
+    assert sensitivity_rows(cfg)[1] == sensitivity
+
+
+def test_fit_and_score_returns_plain_numbers():
+    for cfg in (replace(TINY, iterations=1), replace(TINY, rectangles="")):
+        scores = experiments._fit_and_score(cfg)
+        assert list(scores) == ["loss", "f1", "mu_n", "separation", "outside_band", "sve_gap"]
+        assert all(type(value) is float or value is None for value in scores.values())
+    assert scores["sve_gap"] is None  # no changed patch, so no gap
 
 
 # ------------------------------------------------------------------ checks

@@ -349,7 +349,7 @@ def test_helper_death_raises_and_leaves_no_child(monkeypatch, forks):
         return squares(th)
 
     threads = threading.active_count()
-    with deadline(60), pytest.raises(RuntimeError, match="terminated abruptly"):
+    with deadline(60), pytest.raises(ChildProcessError, match="terminated abruptly"):
         with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
     assert_reaped(forks, threads)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm
+from .core import ConfigError, frobenius_norm
 
 __all__ = [
     "ContractionReport",
@@ -44,7 +44,7 @@ class ContractionReport:
 def scores_from_residuals(res_norms, d_norm: float):
     """Normalised scores r_1..r_K from a trace's residual norms (index 0 = init)."""
     if d_norm <= 0.0:
-        raise ValueError("scores are undefined for a zero-norm input field")
+        raise ConfigError("scores are undefined for a zero-norm input field")
     return tuple(float(r) / float(d_norm) for r in list(res_norms)[1:])
 
 
@@ -52,11 +52,11 @@ def contraction_report(scores) -> ContractionReport:
     """Summarise a score sequence r_1..r_K (see :class:`ContractionReport`)."""
     r = [float(s) for s in scores]
     if len(r) < 1:
-        raise ValueError("contraction_report needs at least one score")
+        raise ConfigError("contraction_report needs at least one score")
     if not all(np.isfinite(r)):
-        raise ValueError("scores must be finite")
+        raise ConfigError("scores must be finite")
     if any(s < 0.0 for s in r):
-        raise ValueError("scores must be non-negative")
+        raise ConfigError("scores must be non-negative")
     ratios = tuple(
         (r[i] / r[i - 1]) if r[i - 1] > SCORE_EPS else None for i in range(1, len(r))
     )

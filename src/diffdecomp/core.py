@@ -11,19 +11,18 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ConfigError",
     "NumericalError",
-    "PatchLayout",
     "field_shape",
     "as_field",
     "as_plane",
     "frobenius_norm",
     "channel_map",
+    "patch_tiles",
+    "patch_plane",
     "parse_name_values",
     "read_utf8",
     "singular_values",
@@ -128,56 +127,40 @@ def sigmoid(z):
     return out
 
 
-@dataclass(frozen=True)
-class PatchLayout:
-    """Partition of an H x W grid into non-overlapping square tiles.
+def _patch_grid(height: int, width: int, patch_side: int) -> tuple:
+    """(rows, cols) of square tiles of side ``patch_side`` on an H x W grid."""
+    height, width, patch_side = int(height), int(width), int(patch_side)
+    if patch_side < 1:
+        raise ConfigError(f"patch_side must be positive, got {patch_side}")
+    if height < 1 or width < 1:
+        raise ConfigError(f"grid {height}x{width} is empty")
+    if height % patch_side or width % patch_side:
+        raise ConfigError(f"patch side {patch_side} does not tile a {height}x{width} grid")
+    return height // patch_side, width // patch_side
 
-    Patches are indexed in raster order: patch ``j`` sits at tile row
-    ``j // cols`` and tile column ``j % cols``.  Within a patch, pixels are
-    flattened row-major when a patch matrix is formed.
+
+def patch_tiles(x: np.ndarray, patch_side: int) -> np.ndarray:
+    """All patch matrices of a (channels, H, W) array on square tiles.
+
+    Shape (n_patches, channels, patch_side**2).  Patches are in raster order:
+    patch ``j`` sits at tile row ``j // cols`` and tile column ``j % cols``.
+    Within a patch, pixels are flattened row-major.  The patches tile the
+    field, so the result holds every entry of ``x`` exactly once.
     """
+    d, height, width = x.shape
+    rows, cols = _patch_grid(height, width, patch_side)
+    p = int(patch_side)
+    t = x.reshape(d, rows, p, cols, p).transpose(1, 3, 0, 2, 4)
+    return np.ascontiguousarray(t.reshape(rows * cols, d, p * p))
 
-    patch_side: int
-    rows: int
-    cols: int
 
-    @classmethod
-    def for_shape(cls, height: int, width: int, patch_side: int) -> "PatchLayout":
-        height, width, patch_side = int(height), int(width), int(patch_side)
-        if patch_side < 1:
-            raise ConfigError(f"patch_side must be positive, got {patch_side}")
-        if height < 1 or width < 1:
-            raise ConfigError(f"grid {height}x{width} is empty")
-        if height % patch_side or width % patch_side:
-            raise ConfigError(
-                f"patch side {patch_side} does not tile a {height}x{width} grid"
-            )
-        return cls(patch_side, height // patch_side, width // patch_side)
-
-    @property
-    def n_patches(self) -> int:
-        return self.rows * self.cols
-
-    def slices(self, index: int):
-        """(row slice, column slice) of patch ``index`` in pixel coordinates."""
-        index = int(index)
-        if not 0 <= index < self.n_patches:
-            raise IndexError(f"patch index {index} out of range [0, {self.n_patches})")
-        r, c = divmod(index, self.cols)
-        p = self.patch_side
-        return slice(r * p, (r + 1) * p), slice(c * p, (c + 1) * p)
-
-    def tiles(self, x: np.ndarray) -> np.ndarray:
-        """All patch matrices of a (channels, H, W) array on this grid.
-
-        Shape (n_patches, channels, patch_side**2); the caller has checked
-        that the grid matches.  The patches tile the field, so the result
-        holds every entry of ``x`` exactly once.
-        """
-        d = x.shape[0]
-        p = self.patch_side
-        t = x.reshape(d, self.rows, p, self.cols, p).transpose(1, 3, 0, 2, 4)
-        return np.ascontiguousarray(t.reshape(self.n_patches, d, p * p))
+def patch_plane(values, height: int, width: int, patch_side: int) -> np.ndarray:
+    """The (H, W) plane that holds ``values[j]`` on every pixel of patch ``j`` (raster order)."""
+    rows, cols = _patch_grid(height, width, patch_side)
+    p = int(patch_side)
+    blocks = np.empty((rows, p, cols, p))
+    blocks[...] = np.reshape(values, (rows, 1, cols, 1))
+    return blocks.reshape(rows * p, cols * p)
 
 
 def singular_values(m) -> np.ndarray:

@@ -236,17 +236,16 @@ def resolve_lam_rec(cfg: ExperimentConfig) -> float:
     return float(cfg.lam_rec)
 
 
-def difference_field(item, align: AlignParams, use_align: bool):
-    """(dfield, labels, patch groups) for a generated item.
+def difference_field(item, align: AlignParams, use_align: bool) -> np.ndarray:
+    """The difference field of a generated item.
 
     Decomposition instances pass through; bi-temporal pairs are subband-
     aligned (unless disabled) and differenced.
     """
-    groups = (item.changed_patches, item.unchanged_patches)
     if isinstance(item, SynthInstance):
-        return item.dfield, item.labels, groups
+        return item.dfield
     f1, f2 = suppress_pair(item.f1, item.f2, align) if use_align else (item.f1, item.f2)
-    return f2 - f1, item.labels, groups
+    return f2 - f1
 
 
 def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: StageConfig):
@@ -254,8 +253,8 @@ def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: St
 
     Per-group SVE is not computed here; :func:`sve_prior_rows` reports it.
     """
-    dfield, labels, _groups = difference_field(item, model.align, bool(cfg.use_align))
-    return _evaluate_field(model, dfield, labels, cfg, stage)
+    dfield = difference_field(item, model.align, bool(cfg.use_align))
+    return _evaluate_field(model, dfield, item.labels, cfg, stage)
 
 
 def _evaluate_field(model: ModelParams, dfield, labels, cfg: ExperimentConfig, stage: StageConfig):
@@ -300,8 +299,8 @@ def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
 
     def batch_report(bundle: ModelParams) -> LossReport:
         fields = fields_of(bundle) if fixed is None else fixed
-        return _mean_report([_evaluate_field(bundle, d, labels, cfg, stage)[1]
-                             for d, labels, _groups in fields])
+        return _mean_report([_evaluate_field(bundle, d, item.labels, cfg, stage)[1]
+                             for d, item in zip(fields, batch)])
 
     return fit_model(model, batch_report, fit_cfg)
 
@@ -315,6 +314,16 @@ def _eval_items(cfg: ExperimentConfig):
         yield make_item(cfg, cfg.seed + i)
 
 
+def _group_sve(field, item, cfg: ExperimentConfig) -> tuple:
+    """(changed mean SVE, unchanged mean SVE, gap) of ``field`` over the item's patch groups.
+
+    A mean is ``None`` when its group is empty, and so is the gap.
+    """
+    ent = patch_entropies(field, cfg.patch_side, cfg.epsilon)
+    sve_ch, sve_un = group_means(ent, (item.changed_patches, item.unchanged_patches))
+    return sve_ch, sve_un, None if sve_ch is None or sve_un is None else sve_ch - sve_un
+
+
 def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
     """Per-seed, per-step changed/unchanged mean SVE of the change estimate.
 
@@ -323,13 +332,11 @@ def sve_prior_rows(cfg: ExperimentConfig, model: ModelParams):
     """
     rows = []
     for item in _eval_items(cfg):
-        dfield, labels, groups = difference_field(item, model.align, bool(cfg.use_align))
+        dfield = difference_field(item, model.align, bool(cfg.use_align))
         solver_run = run(dfield, model.solver)
         fields = [dfield] + [state.c for state in solver_run.states[1:]]
         for step_idx, field in enumerate(fields):
-            ent = patch_entropies(field, cfg.patch_side, cfg.epsilon)
-            sve_ch, sve_un = group_means(ent, groups)
-            gap = None if sve_ch is None or sve_un is None else sve_ch - sve_un
+            sve_ch, sve_un, gap = _group_sve(field, item, cfg)
             rows.append(
                 {
                     "seed": item.spec.seed,
@@ -368,7 +375,7 @@ def contraction_rows(cfg: ExperimentConfig, model: ModelParams):
     ratios_all = []
     rhos = []
     for item in _eval_items(cfg):
-        dfield, _labels, _groups = difference_field(item, model.align, bool(cfg.use_align))
+        dfield = difference_field(item, model.align, bool(cfg.use_align))
         solver_run = run(dfield, model.solver)
         scores = scores_from_residuals(
             [row.res_norm for row in solver_run.trace], frobenius_norm(dfield)
@@ -413,11 +420,8 @@ def _fit_and_score(cfg: ExperimentConfig, fit: bool = True) -> dict:
         f1s.append(f1)
         mus.append(nuisance_mean(final.n))
         seps.append(separation(final.c, final.n, cfg.epsilon))
-        groups = (item.changed_patches, item.unchanged_patches)
-        if groups[0] and groups[1]:
-            ent = patch_entropies(final.c, cfg.patch_side, cfg.epsilon)
-            sve_ch, sve_un = group_means(ent, groups)
-            gaps.append(sve_ch - sve_un)
+        if item.changed_patches and item.unchanged_patches:
+            gaps.append(_group_sve(final.c, item, cfg)[2])
     outside = sum(1 for mu in mus if not cfg.band_lo <= mu <= cfg.band_hi)
     n = float(cfg.eval_seeds)
     return {

@@ -37,7 +37,6 @@ __all__ = [
     "Leaf",
     "LEAVES",
     "replace_leaves",
-    "parameter_count",
     "dumps_params",
     "loads_params",
     "save_params",
@@ -149,10 +148,6 @@ def replace_leaves(params: ModelParams, values) -> ModelParams:
         *parents, name = leaf.path.split(".")
         setattr(reduce(getattr, parents, out), name, value)
     return out
-
-
-def parameter_count(params: ModelParams) -> int:
-    return sum(int(np.size(leaf.get(params))) for leaf in LEAVES)
 
 
 def dumps_params(params: ModelParams) -> str:

@@ -15,9 +15,10 @@ import numpy as np
 from . import rng
 from .core import (
     ConfigError,
-    PatchLayout,
     channel_map,
     field_shape,
+    patch_plane,
+    patch_tiles,
     sigmoid,
     singular_values_batch,
 )
@@ -120,8 +121,7 @@ def patch_entropies(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
     tile the field, so that check scans every entry once.
     """
     x = field_shape(x, "patch_entropies")
-    layout = PatchLayout.for_shape(x.shape[1], x.shape[2], patch_side)
-    svs = singular_values_batch(layout.tiles(x))
+    svs = singular_values_batch(patch_tiles(x, patch_side))
     return patch_entropy(normalized_spectrum(svs, epsilon), epsilon)
 
 
@@ -140,20 +140,18 @@ def sve_map(x, patch_side: int, epsilon: float = 1e-8) -> np.ndarray:
     (the spectrum normalisation cancels scale).
     """
     x = field_shape(x, "sve_map")
-    ent = patch_entropies(x, patch_side, epsilon)
-    layout = PatchLayout.for_shape(x.shape[1], x.shape[2], patch_side)
-    p = layout.patch_side
-    blocks = np.empty((layout.rows, p, layout.cols, p))
-    blocks[...] = ent.reshape(layout.rows, 1, layout.cols, 1)
-    return blocks.reshape(layout.rows * p, layout.cols * p)
+    return patch_plane(patch_entropies(x, patch_side, epsilon), x.shape[1], x.shape[2], patch_side)
 
 
 def gate_map(residual, params: GateParams) -> np.ndarray:
     """Gate plane sigmoid(scale * SVE + shift) of the reduced absolute residual.
 
+    The gate is taken of each patch's SVE, then painted over the patch: the
+    same plane as gating :func:`sve_map`, which is constant on each patch.
     The reduced field is non-finite wherever the residual is, so the batched
     SVD's input check rejects a non-finite residual.
     """
     r = field_shape(residual, "gate_map")
-    s = sve_map(channel_map(params.reducer, np.abs(r)), params.patch_side, params.epsilon)
-    return sigmoid(params.scale * s + params.shift)
+    ent = patch_entropies(channel_map(params.reducer, np.abs(r)), params.patch_side, params.epsilon)
+    gate = sigmoid(params.scale * ent + params.shift)
+    return patch_plane(gate, r.shape[1], r.shape[2], params.patch_side)

@@ -10,12 +10,12 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .core import ConfigError, PatchLayout
+from .core import ConfigError, _patch_grid, patch_tiles
 
 __all__ = ["SynthSpec", "SynthInstance", "BitemporalPair", "gen_instance", "gen_bitemporal"]
 
@@ -42,9 +42,6 @@ class SynthSpec:
     noise_sigma: float = 0.05
     illumination: float = 0.3
 
-    def with_seed(self, seed: int) -> "SynthSpec":
-        return replace(self, seed=int(seed))
-
 
 @dataclass(frozen=True)
 class SynthInstance:
@@ -55,7 +52,6 @@ class SynthInstance:
     c_star: np.ndarray
     n_star: np.ndarray
     labels: np.ndarray
-    layout: PatchLayout
     changed_patches: tuple
     unchanged_patches: tuple
 
@@ -68,7 +64,6 @@ class BitemporalPair:
     f1: np.ndarray
     f2: np.ndarray
     labels: np.ndarray
-    layout: PatchLayout
     changed_patches: tuple
     unchanged_patches: tuple
 
@@ -87,9 +82,9 @@ def _labels_plane(spec: SynthSpec) -> np.ndarray:
     return labels
 
 
-def _patch_groups(labels: np.ndarray, layout: PatchLayout):
-    """Patch indices touching any positive label, and the complement."""
-    hit = np.any(layout.tiles(labels[None, :, :]) > 0.0, axis=(1, 2))
+def _patch_groups(labels: np.ndarray, patch_side: int):
+    """Raster patch indices touching any positive label, and the complement."""
+    hit = np.any(patch_tiles(labels[None, :, :], patch_side) > 0.0, axis=(1, 2))
     return tuple(np.flatnonzero(hit).tolist()), tuple(np.flatnonzero(~hit).tolist())
 
 
@@ -107,7 +102,7 @@ def _smooth_sheet(spec: SynthSpec) -> np.ndarray:
 
 
 def _draw(spec: SynthSpec):
-    """The draw both kinds share: (layout, labels, patch groups, change, background).
+    """The draw both kinds share: (labels, patch groups, change, background).
 
     change: per-channel i.i.d. N(0,1) texture * change_amplitude, masked to
     the rectangles.  background: rank-1 raised-cosine sheet (seeded phase,
@@ -118,14 +113,14 @@ def _draw(spec: SynthSpec):
         raise ConfigError(f"channels must be positive, got {spec.channels}")
     if spec.noise_sigma < 0 or spec.change_amplitude < 0 or spec.nuisance_amplitude < 0:
         raise ConfigError("amplitudes must be non-negative")
-    layout = PatchLayout.for_shape(spec.height, spec.width, spec.patch_side)
+    _patch_grid(spec.height, spec.width, spec.patch_side)  # a bad grid fails before any draw
     labels = _labels_plane(spec)
     shape = (spec.channels, spec.height, spec.width)
     texture = spec.change_amplitude * rng.normals(spec.seed, STREAM_TEXTURE, shape)
     change = texture * labels[None, :, :]
     noise = spec.noise_sigma * rng.normals(spec.seed, STREAM_NOISE, shape)
     background = _smooth_sheet(spec)[None, :, :] + noise
-    return layout, labels, _patch_groups(labels, layout), change, background
+    return labels, _patch_groups(labels, spec.patch_side), change, background
 
 
 def gen_instance(spec: SynthSpec) -> SynthInstance:
@@ -135,8 +130,8 @@ def gen_instance(spec: SynthSpec) -> SynthInstance:
     :func:`_draw`).  dfield is computed as ``c_star + n_star`` so the
     additive split holds bit-exactly.
     """
-    layout, labels, groups, change, background = _draw(spec)
-    return SynthInstance(spec, change + background, change, background, labels, layout, *groups)
+    labels, groups, change, background = _draw(spec)
+    return SynthInstance(spec, change + background, change, background, labels, *groups)
 
 
 def gen_bitemporal(spec: SynthSpec) -> BitemporalPair:
@@ -147,6 +142,6 @@ def gen_bitemporal(spec: SynthSpec) -> BitemporalPair:
     zero offset and no rectangles the two fields are bit-identical; in
     general ``f2 - f1`` recovers ``offset + change`` up to float64 rounding.
     """
-    layout, labels, groups, change, background = _draw(spec)
+    labels, groups, change, background = _draw(spec)
     f2 = background + spec.illumination + change
-    return BitemporalPair(spec, background, f2, labels, layout, *groups)
+    return BitemporalPair(spec, background, f2, labels, *groups)

@@ -71,8 +71,8 @@ def fitted_default_model():
 def eval_instance_fields(cfg, model, seed):
     """(dfield, patch groups, solver run) for one evaluation seed."""
     item = gen_instance(make_spec(cfg, seed))
-    dfield, _labels, groups = difference_field(item, model.align, bool(cfg.use_align))
-    return dfield, groups, run(dfield, model.solver)
+    dfield = difference_field(item, model.align, bool(cfg.use_align))
+    return dfield, (item.changed_patches, item.unchanged_patches), run(dfield, model.solver)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +358,7 @@ def test_criterion_09_band_keeps_nuisance_in_range():
             cfg = ExperimentConfig(seed=1000 + r, use_staged=staged, **base)
             result = fit_on_batch(cfg)
             item = gen_instance(make_spec(cfg, cfg.seed + 10_000))
-            dfield, _labels, _groups = difference_field(
-                item, result.params.align, bool(cfg.use_align)
-            )
+            dfield = difference_field(item, result.params.align, bool(cfg.use_align))
             solver_run = run(dfield, result.params.solver)
             mu = nuisance_mean(solver_run.final.n)
             if staged == 0 and not lo <= mu <= hi:

@@ -267,6 +267,25 @@ def test_invalid_replay_scores_are_usage_errors(capsys, tmp_path, replay):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    # f1 == f2 bit for bit, so the difference field is all zeros
+    ("mode = bitemporal\nillumination = 0\nrectangles =\n",
+     "scores are undefined for a zero-norm input field"),
+    ("steps = 0\n", "contraction_report needs at least one score"),
+], ids=["zero-field", "no-steps"])
+def test_contraction_without_scores_is_config_error(capsys, tmp_path, lines, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG + lines)
+    fitted, out = tmp_path / "m.params", tmp_path / "con.csv"
+    assert main(["fit", "--seed", "0", "--config", str(cfg), "--out", str(fitted)]) == 0
+    capsys.readouterr()
+    code = main(["contraction", "--seed", "0", "--config", str(cfg),
+                 "--params", str(fitted), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # A floating-point warning would escape as an exception: the failure line is
 # all the command prints.
 @pytest.mark.filterwarnings("error::RuntimeWarning")

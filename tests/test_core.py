@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import oracles
 from diffdecomp.core import (
     ConfigError,
-    PatchLayout,
     as_field,
     frobenius_norm,
+    patch_plane,
+    patch_tiles,
     sigmoid,
     singular_values,
     singular_values_batch,
@@ -79,34 +80,53 @@ def test_sigmoid_zero_dim_returns_float():
 # ------------------------------------------------------------------ patches
 
 
+def raster_slices(index, cols, side):
+    """(row slice, column slice) of raster patch ``index`` on a grid ``cols`` patches wide."""
+    r, c = divmod(index, cols)
+    return slice(r * side, (r + 1) * side), slice(c * side, (c + 1) * side)
+
+
 def test_patch_layout_rejects_non_divisible():
-    with pytest.raises(ConfigError):
-        PatchLayout.for_shape(12, 16, 8)
+    with pytest.raises(ConfigError, match="does not tile a 12x16 grid"):
+        patch_tiles(np.zeros((1, 12, 16)), 8)
+    with pytest.raises(ConfigError, match="does not tile a 12x16 grid"):
+        patch_plane(np.zeros(2), 12, 16, 8)
+
+
+@pytest.mark.parametrize("height, width, side, message", [
+    (0, 8, 4, "grid 0x8 is empty"),
+    (8, 8, 0, "patch_side must be positive"),
+], ids=["empty-grid", "zero-side"])
+def test_patch_grid_rejects_empty_grid_and_side(height, width, side, message):
+    with pytest.raises(ConfigError, match=message):
+        patch_tiles(np.zeros((1, height, width)), side)
+    with pytest.raises(ConfigError, match=message):
+        patch_plane(np.zeros(1), height, width, side)
 
 
 def test_patch_layout_grid():
-    layout = PatchLayout.for_shape(32, 16, 8)
-    assert (layout.rows, layout.cols, layout.n_patches) == (4, 2, 8)
+    tiles = patch_tiles(np.zeros((3, 32, 16)), 8)
+    assert tiles.shape == (8, 3, 64)
+    assert patch_plane(np.arange(8.0), 32, 16, 8)[::8, ::8].tolist() == [
+        [0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]
+    ]
 
 
 def test_patch_matrix_constant_field():
     x = np.full((1, 2, 2), 7.0)
-    layout = PatchLayout.for_shape(2, 2, 2)
-    assert np.array_equal(layout.tiles(x), [[[7.0, 7.0, 7.0, 7.0]]])
+    assert np.array_equal(patch_tiles(x, 2), [[[7.0, 7.0, 7.0, 7.0]]])
 
 
 def test_patch_matrix_single_patch_is_flatten():
     x = np.arange(2 * 4 * 4, dtype=np.float64).reshape(2, 4, 4)
-    layout = PatchLayout.for_shape(4, 4, 4)
-    assert np.array_equal(layout.tiles(x), x.reshape(1, 2, 16))
+    assert np.array_equal(patch_tiles(x, 4), x.reshape(1, 2, 16))
 
 
 def test_patch_matrix_against_loop_oracle(rng):
     # independent nested-loop copy, raster order row-major within the patch
     x = rng.normal(size=(8, 16, 16))
-    layout = PatchLayout.for_shape(16, 16, 8)
     index = 3
-    r0, c0 = (index // layout.cols) * 8, (index % layout.cols) * 8
+    r0, c0 = (index // 2) * 8, (index % 2) * 8
     oracle = np.empty((8, 64))
     for ch in range(8):
         col = 0
@@ -114,25 +134,30 @@ def test_patch_matrix_against_loop_oracle(rng):
             for j in range(8):
                 oracle[ch, col] = x[ch, r0 + i, c0 + j]
                 col += 1
-    assert np.array_equal(layout.tiles(x)[index], oracle)
-
-
-def test_patch_matrix_out_of_range():
-    layout = PatchLayout.for_shape(8, 8, 8)
-    for index in (1, -1):
-        with pytest.raises(IndexError):
-            layout.slices(index)
+    assert np.array_equal(patch_tiles(x, 8)[index], oracle)
 
 
 def test_patch_bijection_reassembles_bit_exactly(rng):
     x = rng.normal(size=(3, 16, 24))
-    layout = PatchLayout.for_shape(16, 24, 8)
-    tiles = layout.tiles(x)
+    tiles = patch_tiles(x, 8)
     rebuilt = np.empty_like(x)
-    for idx in range(layout.n_patches):
-        rs, cs = layout.slices(idx)
+    for idx in range(len(tiles)):
+        rs, cs = raster_slices(idx, 3, 8)
         rebuilt[:, rs, cs] = tiles[idx].reshape(3, 8, 8)
     assert np.array_equal(rebuilt, x)
+
+
+@pytest.mark.parametrize("height, width, side", [(16, 24, 8), (6, 4, 1), (12, 12, 12), (8, 20, 4)])
+def test_patch_plane_round_trips_through_tiles(rng, height, width, side):
+    values = rng.normal(size=(height // side) * (width // side))
+    plane = patch_plane(values, height, width, side)
+    assert plane.shape == (height, width)
+    tiles = patch_tiles(plane[None, :, :], side)
+    # every patch holds its own value on every pixel, in raster order
+    assert np.array_equal(tiles, np.broadcast_to(values[:, None, None], tiles.shape))
+    for idx, value in enumerate(values):
+        rs, cs = raster_slices(idx, width // side, side)
+        assert np.all(plane[rs, cs] == value)
 
 
 # --------------------------------------------------------------------- SVD

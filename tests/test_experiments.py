@@ -165,14 +165,12 @@ def test_make_stage_staging_switch():
 def test_difference_field_modes():
     inst = gen_instance(make_spec(TINY, 4))
     model = make_model(TINY)
-    dfield, labels, groups = difference_field(inst, model.align, True)
-    assert dfield is inst.dfield and labels is inst.labels
-    assert groups == (inst.changed_patches, inst.unchanged_patches)
+    assert difference_field(inst, model.align, True) is inst.dfield
 
     pair = gen_bitemporal(make_spec(TINY, 4))
-    raw, _labels, _groups = difference_field(pair, model.align, False)
+    raw = difference_field(pair, model.align, False)
     assert np.array_equal(raw, pair.f2 - pair.f1)
-    aligned, _labels, _groups = difference_field(pair, model.align, True)
+    aligned = difference_field(pair, model.align, True)
     assert not np.array_equal(aligned, raw)  # alignment moves the shared offset
 
 

@@ -63,7 +63,8 @@ def unused_imports(path):
 def test_no_unused_imports():
     # __version__ is imported into __init__ only to be the package's attribute.
     allowed = {("src/diffdecomp/__init__.py", "__version__")}
-    files = sorted([*(ROOT / "src" / "diffdecomp").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    files = sorted([*(ROOT / "src" / "diffdecomp").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                    *(ROOT / "scripts").glob("*.py")])
     found = {
         (path.relative_to(ROOT).as_posix(), name)
         for path in files

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffdecomp.core import ConfigError, PatchLayout, channel_map, sigmoid, singular_values
+from diffdecomp.core import ConfigError, channel_map, patch_tiles, sigmoid, singular_values
 from diffdecomp.sve import (
     gate_map,
     group_means,
@@ -58,8 +58,7 @@ def test_patch_entropy_hand_value():
 def test_patch_entropies_match_scalar_path(rng):
     x = rng.normal(size=(3, 16, 16))
     ent = patch_entropies(x, 8)
-    layout = PatchLayout.for_shape(16, 16, 8)
-    for j, tile in enumerate(layout.tiles(x)):
+    for j, tile in enumerate(patch_tiles(x, 8)):
         sv = singular_values(tile)
         expected = patch_entropy(normalized_spectrum(sv))
         assert ent[j] == pytest.approx(expected, abs=1e-12)
@@ -192,12 +191,23 @@ def test_gate_reducer_shape_checked():
 
 
 def test_gate_equals_public_composition(rng):
-    for channels, reduced in [(1, 1), (4, 4), (8, 4)]:
-        params = init_gate_params(channels, reduced, patch_side=4, seed=channels)
+    # (channels, reduced channels, patch side, residual shape, residual scale):
+    # the last three are an all-zero residual, patch side 1, and one patch
+    # that covers the whole grid
+    cases = [
+        (1, 1, 4, (1, 16, 12), 1.0),
+        (4, 4, 4, (4, 16, 12), 1.0),
+        (8, 4, 4, (8, 16, 12), 1.0),
+        (4, 2, 4, (4, 16, 12), 0.0),
+        (3, 2, 1, (3, 5, 7), 1.0),
+        (4, 4, 12, (4, 12, 12), 1.0),
+    ]
+    for channels, reduced, side, shape, scale in cases:
+        params = init_gate_params(channels, reduced, patch_side=side, seed=channels)
         params.scale, params.shift = 1.7, -0.3
-        residual = rng.normal(0.0, 1.0, (channels, 16, 12))
+        residual = scale * rng.normal(0.0, 1.0, shape)
         reduced_field = channel_map(params.reducer, np.abs(residual))
-        want = sigmoid(params.scale * sve_map(reduced_field, 4, params.epsilon) + params.shift)
+        want = sigmoid(params.scale * sve_map(reduced_field, side, params.epsilon) + params.shift)
         assert np.array_equal(gate_map(residual, params), want)
 
 

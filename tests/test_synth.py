@@ -1,16 +1,24 @@
 """Generator invariants: exact additivity, seed determinism, label support,
 and the planted entropy prior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diffdecomp import rng
-from diffdecomp.core import ConfigError, PatchLayout
+from diffdecomp.core import ConfigError
 from diffdecomp.sve import patch_entropies
 from diffdecomp.synth import SynthSpec, _patch_groups, gen_bitemporal, gen_instance
 from diffdecomp.wavelet import dwt2_haar
+
+
+def patch_slices(index, width, side):
+    """(row slice, column slice) of raster patch ``index`` on a grid ``width`` pixels wide."""
+    r, c = divmod(index, width // side)
+    return slice(r * side, (r + 1) * side), slice(c * side, (c + 1) * side)
 
 
 def test_additivity_bit_exact():
@@ -24,7 +32,7 @@ def test_seed_determinism():
     b = gen_instance(spec)
     for name in ("dfield", "c_star", "n_star", "labels"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    c = gen_instance(spec.with_seed(10))
+    c = gen_instance(replace(spec, seed=10))
     assert not np.array_equal(a.dfield, c.dfield)
 
 
@@ -43,7 +51,7 @@ def test_pure_change_instance():
     assert np.array_equal(inst.dfield, inst.c_star)
     # unchanged patches carry nothing at all
     for j in inst.unchanged_patches:
-        rs, cs = inst.layout.slices(j)
+        rs, cs = patch_slices(j, 32, 8)
         assert np.all(inst.dfield[:, rs, cs] == 0.0)
     assert inst.changed_patches == (5,)
 
@@ -57,9 +65,9 @@ def test_label_support_consistency():
 def test_patch_groups_partition():
     inst = gen_instance(SynthSpec(seed=2))
     merged = sorted(inst.changed_patches + inst.unchanged_patches)
-    assert merged == list(range(inst.layout.n_patches))
+    assert merged == list(range(16))
     for j in inst.changed_patches:
-        rs, cs = inst.layout.slices(j)
+        rs, cs = patch_slices(j, 32, 8)
         assert np.any(inst.labels[rs, cs] > 0.0)
 
 
@@ -97,6 +105,9 @@ def test_negative_amplitude_rejected():
 def test_patch_divisibility_enforced():
     with pytest.raises(ConfigError):
         gen_instance(SynthSpec(height=30))
+    # the grid is checked before the labels plane is made
+    with pytest.raises(ConfigError, match="grid -8x32 is empty"):
+        gen_instance(SynthSpec(height=-8))
 
 
 # ---------------------------------------------------------------- bitemporal
@@ -187,17 +198,16 @@ def test_generators_match_reference_draw(spec):
     assert pair.unchanged_patches == inst.unchanged_patches
 
 
-def loop_patch_groups(labels, layout):
+def loop_patch_groups(labels, side):
     changed, unchanged = [], []
-    for j in range(layout.n_patches):
-        rs, cs = layout.slices(j)
+    for j in range(labels.size // side**2):
+        rs, cs = patch_slices(j, labels.shape[1], side)
         (changed if np.any(labels[rs, cs] > 0.0) else unchanged).append(j)
     return tuple(changed), tuple(unchanged)
 
 
 @pytest.mark.parametrize("kind", ["random", "empty", "full", "pixel"])
 def test_patch_groups_match_per_patch_loop(kind):
-    layout = PatchLayout.for_shape(24, 32, 8)
     labels = np.zeros((24, 32))
     if kind == "random":
         # mostly negative, so about half the patches hold no positive entry
@@ -206,8 +216,8 @@ def test_patch_groups_match_per_patch_loop(kind):
         labels[:] = 1.0
     elif kind == "pixel":
         labels[13, 21] = 1.0
-    groups = _patch_groups(labels, layout)
-    assert groups == loop_patch_groups(labels, layout)
+    groups = _patch_groups(labels, 8)
+    assert groups == loop_patch_groups(labels, 8)
     assert all(type(j) is int for group in groups for j in group)
     if kind == "random":
         assert groups[0] and groups[1]

@@ -19,10 +19,10 @@ import numpy as np
 from . import rng
 from .convergence import consistency_distance, contraction_report, scores_from_residuals
 from .core import ConfigError, frobenius_norm, parse_name_values, singular_values
-from .fit import FitConfig, FitResult, _selected_leaves, fit_model
+from .fit import FitConfig, FitResult, _selected_leaves, apply_theta, fit_model
 from .objective import LossReport, StageConfig, f1_score, nuisance_mean, separation, total_loss
 from .params import ModelParams, init_model_params
-from .solver import init_state, predict, run, step
+from .solver import SolverRun, init_state, predict, run, step
 from .sve import group_means, patch_entropies
 from .synth import BitemporalPair, SynthInstance, SynthSpec, gen_bitemporal, gen_instance
 from .wavelet import AlignParams, align_subbands, dwt2_haar, idwt2_haar, suppress_pair
@@ -127,14 +127,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"mode must be 'instance' or 'bitemporal', got {cfg.mode!r}")
     if cfg.instances < 1 or cfg.eval_seeds < 1:
         raise ConfigError("instances and eval_seeds must be >= 1")
-    for key in ("seed", "steps", "iterations", "k_max", "epsilon", "learning_rate"):
+    for key in ("seed", "steps", "iterations", "k_max", "learning_rate"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)}")
+    # with epsilon = 0, p ln(p + epsilon) is NaN at p = 0
+    for key in ("step_size", "epsilon"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"config key {key!r} must be > 0, got {getattr(cfg, key)}")
     for key in ("use_align", "use_gating", "use_staged", "memory_bypass"):
         if getattr(cfg, key) not in (0, 1):
             raise ConfigError(f"config key {key!r} must be 0 or 1, got {getattr(cfg, key)}")
-    if cfg.step_size <= 0:
-        raise ConfigError(f"config key 'step_size' must be > 0, got {cfg.step_size}")
     if cfg.band_lo > cfg.band_hi:
         raise ConfigError(f"band ({cfg.band_lo}, {cfg.band_hi}) is inverted")
     if cfg.lam_rec != "auto":
@@ -254,15 +256,16 @@ def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: St
     Per-group SVE is not computed here; :func:`sve_prior_rows` reports it.
     """
     dfield = difference_field(item, model.align, bool(cfg.use_align))
-    return _evaluate_field(model, dfield, item.labels, cfg, stage)
-
-
-def _evaluate_field(model: ModelParams, dfield, labels, cfg: ExperimentConfig, stage: StageConfig):
-    """:func:`evaluate_instance` on an item's difference field and labels."""
     solver_run = run(dfield, model.solver)
+    report, mask = _score(model, solver_run, dfield, item.labels, cfg, stage)
+    return solver_run, report, f1_score(mask, item.labels)
+
+
+def _score(model: ModelParams, solver_run: SolverRun, dfield, labels, cfg: ExperimentConfig,
+           stage: StageConfig):
+    """(LossReport, predicted mask) of the bundle's run of an item's difference field."""
     _, probs, mask = predict(solver_run.final.c, model.head)
-    report = total_loss(dfield, labels, solver_run.states, probs, stage, resolve_lam_rec(cfg))
-    return solver_run, report, f1_score(mask, labels)
+    return total_loss(dfield, labels, solver_run.states, probs, stage, resolve_lam_rec(cfg)), mask
 
 
 _LOSS_FIELDS = tuple(f.name for f in dataclasses.fields(LossReport))
@@ -275,34 +278,85 @@ def _mean_report(reports) -> LossReport:
 
 def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
                  stage: StageConfig | None = None) -> FitResult:
-    """Fit the configured groups on the config's instance batch.
-
-    Unless ``align`` is fitted, each item's difference field is the same for
-    every bundle the fit tries, so it is made once, before the fit.
-    """
+    """Fit the configured groups on the config's instance batch (see :func:`_batch_objective`)."""
     if model is None:
         model = make_model(cfg)
     if stage is None:
         stage = make_stage(cfg)
-    batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
     fit_cfg = FitConfig(
         learning_rate=cfg.learning_rate,
         iterations=cfg.iterations,
         step_size=cfg.step_size,
         groups=_fit_groups(cfg),
     )
+    report, coordinate_loss = _batch_objective(cfg, model, stage, fit_cfg.groups)
+    return fit_model(model, report, fit_cfg, coordinate_loss)
+
+
+def _batch_objective(cfg: ExperimentConfig, model: ModelParams, stage: StageConfig, groups):
+    """(mean LossReport of a bundle, coordinate loss) on the config's fit batch.
+
+    Unless ``align`` is fitted, each item's difference field is the same for
+    every bundle the fit tries, so it is made once, here.
+
+    The coordinate loss ``loss(theta, i, value)`` is the mean total of the
+    bundle at ``theta`` with entry ``i`` set to ``value``.  Its process makes
+    the centre, each item's run of the bundle at ``theta`` with its drafts,
+    on its first call at a new ``theta``, and keeps that one centre alone.  A
+    moved entry's run then resumes the centre where the entry's leaf says
+    (:attr:`params.Leaf.reach`), one item at a time: the same arithmetic on
+    the same inputs as a whole run, so the same bits.
+    """
+    batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
 
     def fields_of(bundle: ModelParams):
         return [difference_field(item, bundle.align, bool(cfg.use_align)) for item in batch]
 
-    fixed = None if "align" in fit_cfg.groups else fields_of(model)
+    fixed = None if "align" in groups else fields_of(model)
 
     def batch_report(bundle: ModelParams) -> LossReport:
         fields = fields_of(bundle) if fixed is None else fixed
-        return _mean_report([_evaluate_field(bundle, d, item.labels, cfg, stage)[1]
+        return _mean_report([_score(bundle, run(d, bundle.solver), d, item.labels, cfg, stage)[0]
                              for d, item in zip(fields, batch)])
 
-    return fit_model(model, batch_report, fit_cfg)
+    # coordinate i -> (leaf, flat index of its entry)
+    coordinates = [(leaf, j) for leaf in _selected_leaves(groups)
+                   for j in range(np.size(leaf.get(model)))]
+    centre = {}  # theta's bytes -> [(field, run with drafts)], one item each
+
+    def coordinate_loss(theta, i: int, value) -> float:
+        moved = theta.copy()
+        moved[i] = value
+        bundle = apply_theta(model, groups, moved)
+        leaf, j = coordinates[i]
+        reach = leaf.reach(j, bundle.solver.steps)
+        if reach is None:
+            return batch_report(bundle).total
+        key = theta.tobytes()
+        if key not in centre:
+            centre.clear()
+            at_theta = apply_theta(model, groups, theta)
+            fields = fields_of(at_theta) if fixed is None else fixed
+            centre[key] = [(d, run(d, at_theta.solver, keep_drafts=True)) for d in fields]
+        return _mean_report([
+            _score(bundle, _resume(d, bundle.solver, centre_run, *reach), d, item.labels, cfg,
+                   stage)[0]
+            for (d, centre_run), item in zip(centre[key], batch)
+        ]).total
+
+    return batch_report, coordinate_loss
+
+
+def _resume(dfield, solver, centre: SolverRun, start: int, same_drafts: bool, same_gate: bool):
+    """The run of ``solver`` that resumes ``centre`` at step ``start``.
+
+    The flags say whether step ``start`` keeps the centre's drafts and gate.
+    """
+    prefix = SolverRun(states=centre.states[: start + 1], gates=centre.gates[:start])
+    if start == len(centre.gates):
+        return run(dfield, solver, prefix)
+    return run(dfield, solver, prefix, centre.drafts[start] if same_drafts else None,
+               centre.gates[start] if same_gate else None)
 
 
 # ---------------------------------------------------------------- experiments
@@ -558,7 +612,7 @@ def run_checks(seed: int = 0):
     model.solver.memory_bypass = True
     d = rng.normals(seed, 960, (3, 8, 8))
     state0 = init_state(d)
-    state1, _gate = step(d, state0, model.solver, 0)
+    state1 = step(d, state0, model.solver, 0)[0]
     drift = max(
         float(np.max(np.abs(state1.c - state0.c))),
         float(np.max(np.abs(state1.n - state0.n))),

@@ -6,6 +6,11 @@ selected parameter groups enter the vector, everything else stays frozen, and
 a hard cap on the vector length keeps the scheme honest (it is meant for
 small bundles, not deep training).
 
+The gradient evaluates a coordinate loss, ``loss(theta, i, value)``: the loss
+at ``theta`` with entry ``i`` set to ``value``.  By default that is the loss
+of the whole moved vector; an objective that knows what one entry can change
+(``experiments.fit_on_batch``'s) may do less work for the same value.
+
 A fit on more than one CPU forks a process pool of one worker per CPU and
 shuts it down when it ends.  Each gradient is one coordinate per task, with
 the results in coordinate order; every evaluation is the same arithmetic in a
@@ -127,20 +132,30 @@ def _half_step(step_size) -> float:
     return h
 
 
-def _fd_pair(loss_fn, theta, h: float, i: int):
-    """``(f(theta + h e_i), f(theta - h e_i))``; a non-finite value raises :class:`FitError`."""
-    up = theta.copy()
-    up[i] += h
-    down = theta.copy()
-    down[i] -= h
-    f_up = float(loss_fn(up))
-    f_down = float(loss_fn(down))
+def _vector_loss(loss_fn):
+    """``loss_fn``, a function of the whole vector, as a coordinate loss."""
+
+    def loss(theta, i: int, value):
+        moved = theta.copy()
+        moved[i] = value
+        return loss_fn(moved)
+
+    return loss
+
+
+def _fd_pair(loss, theta, h: float, i: int):
+    """Coordinate loss ``loss`` at ``theta[i] + h`` and ``theta[i] - h``.
+
+    A non-finite value raises :class:`FitError`.
+    """
+    f_up = float(loss(theta, i, theta[i] + h))
+    f_down = float(loss(theta, i, theta[i] - h))
     if not (np.isfinite(f_up) and np.isfinite(f_down)):
         raise FitError(f"non-finite loss at coordinate {i} (+{h}: {f_up}, -{h}: {f_down})")
     return f_up, f_down
 
 
-# the loss a pool worker evaluates, set in each worker when it starts
+# the coordinate loss a pool worker evaluates, set in each worker when it starts
 _worker_loss = None
 
 
@@ -159,7 +174,7 @@ def _worker_pair(theta, h: float, i: int):
 
 
 def _pool(loss_fn, count: int):
-    """``count`` forked processes that evaluate ``loss_fn`` for :func:`fd_gradient`."""
+    """``count`` forked processes that evaluate the coordinate loss ``loss_fn``."""
     import concurrent.futures  # here, so that a process that never forks skips it
     import multiprocessing
 
@@ -177,19 +192,15 @@ def _worker_count(size: int, iterations: int) -> int:
     return max(1, min(cpus, MAX_WORKERS, size))
 
 
-def fd_gradient(loss_fn, theta, step_size: float = 1e-4, *, pool=None):
-    """Central-difference gradient of a scalar function of a vector.
+def _gradient(loss, theta: np.ndarray, h: float, pool):
+    """Central-difference gradient of the coordinate loss ``loss`` at ``theta``.
 
-    Raises :class:`FitError` naming the coordinate if an evaluation is
-    non-finite.  ``pool`` is the one :func:`fit` made for ``loss_fn``; its
-    results come in coordinate order, so it raises the lowest failing
-    coordinate's error, as the serial loop does.  Without it every
-    evaluation runs here.
+    ``pool``, when given, was made for ``loss``; its results come in
+    coordinate order, so it raises the lowest failing coordinate's error, as
+    the serial loop does.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    h = _half_step(step_size)
     if pool is None:
-        pairs = map(functools.partial(_fd_pair, loss_fn, theta, h), range(theta.size))
+        pairs = map(functools.partial(_fd_pair, loss, theta, h), range(theta.size))
     else:
         pairs = pool.map(functools.partial(_worker_pair, theta, h), range(theta.size))
     grad = np.zeros_like(theta)
@@ -198,22 +209,35 @@ def fd_gradient(loss_fn, theta, step_size: float = 1e-4, *, pool=None):
     return grad
 
 
-def fit(report_fn, theta0, config: FitConfig = FitConfig()):
+def fd_gradient(loss_fn, theta, step_size: float = 1e-4, *, pool=None):
+    """Central-difference gradient of a scalar function of a vector.
+
+    Raises :class:`FitError` naming the coordinate if an evaluation is
+    non-finite.  ``pool``, when given, is a :func:`_pool` made for
+    ``loss_fn`` as a coordinate loss; without it every evaluation runs here.
+    """
+    return _gradient(_vector_loss(loss_fn), np.asarray(theta, dtype=np.float64),
+                     _half_step(step_size), pool)
+
+
+def fit(report_fn, theta0, config: FitConfig = FitConfig(), coordinate_loss=None):
     """Plain gradient descent on ``report_fn(theta).total``.
 
-    Returns (theta, curve of LossReports, one per recorded iterate).  A step
-    that multiplies the loss by more than ``DIVERGENCE_FACTOR`` raises
-    :class:`FitDivergedError` (the divergence alarm).  When this process may
-    use more than one CPU and the fit makes at least ``MIN_FORK_EVALUATIONS``
-    loss evaluations, a pool of processes forked here evaluates each
-    gradient; they are reaped before this returns or raises.
+    Returns (theta, curve of LossReports, one per recorded iterate).  The
+    gradient evaluates ``coordinate_loss(theta, i, value)``, the total at
+    ``theta`` with entry ``i`` set to ``value``; by default that is
+    ``report_fn`` of the moved vector.  A step that multiplies the loss by
+    more than ``DIVERGENCE_FACTOR`` raises :class:`FitDivergedError` (the
+    divergence alarm).  When this process may use more than one CPU and the
+    fit makes at least ``MIN_FORK_EVALUATIONS`` loss evaluations, a pool of
+    processes forked here evaluates each gradient; they are reaped before
+    this returns or raises.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     if theta.size > MAX_PARAMETERS:
         raise ConfigError(f"{theta.size} parameters exceed the fit cap of {MAX_PARAMETERS}")
-
-    def total(th):
-        return report_fn(th).total
+    if coordinate_loss is None:
+        coordinate_loss = _vector_loss(lambda th: report_fn(th).total)
 
     h = _half_step(config.step_size)
     report = report_fn(theta)
@@ -221,10 +245,10 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
         raise FitError(f"initial loss is non-finite: {report.total}")
     curve = [report]
     count = _worker_count(theta.size, int(config.iterations))
-    pool = _pool(total, count) if count > 1 else None
+    pool = _pool(coordinate_loss, count) if count > 1 else None
     try:
         for it in range(int(config.iterations)):
-            grad = fd_gradient(total, theta, h, pool=pool)
+            grad = _gradient(coordinate_loss, theta, h, pool)
             theta = theta - config.learning_rate * grad
             report = report_fn(theta)
             if not np.isfinite(report.total):
@@ -249,12 +273,17 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig()):
     return theta, tuple(curve)
 
 
-def fit_model(params: ModelParams, report_of_params, config: FitConfig = FitConfig()) -> FitResult:
-    """Fit the selected groups of a bundle against a LossReport-valued objective."""
+def fit_model(params: ModelParams, report_of_params, config: FitConfig = FitConfig(),
+              coordinate_loss=None) -> FitResult:
+    """Fit the selected groups of a bundle against a LossReport-valued objective.
+
+    ``coordinate_loss`` is passed to :func:`fit`; by default it evaluates
+    ``report_of_params`` of the whole moved bundle.
+    """
     theta0 = pack_params(params, config.groups)
 
     def report_fn(theta):
         return report_of_params(apply_theta(params, config.groups, theta))
 
-    theta, curve = fit(report_fn, theta0, config)
+    theta, curve = fit(report_fn, theta0, config, coordinate_loss)
     return FitResult(params=apply_theta(params, config.groups, theta), theta=theta, curve=curve)

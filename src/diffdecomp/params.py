@@ -94,12 +94,19 @@ class Leaf(NamedTuple):
     path from :class:`ModelParams`, ``group`` is its fit group, and ``shape``
     maps (channels, steps, reduced_channels) to its shape; ``()`` marks a
     scalar, held as a Python float.
+
+    ``reach`` maps (flat entry index, steps K) to ``(s, drafts, gate)``: a
+    change of that entry alone leaves states 0..s of a solver run as they
+    were, and with ``drafts`` (``gate``) true also step s's conv drafts (gate
+    plane).  ``s = K`` means it changes no state.  ``None`` means it changes
+    the difference field, so a run starts over from a remade field.
     """
 
     key: str
     path: str
     group: str
     shape: Callable
+    reach: Callable
 
     def get(self, params: ModelParams):
         return reduce(getattr, self.path.split("."), params)
@@ -107,28 +114,42 @@ class Leaf(NamedTuple):
 
 _SCALAR, _VECTOR, _SQUARE = (lambda *_: ()), (lambda d, *_: (d,)), (lambda d, *_: (d, d))
 
+# The reach rules (see Leaf).  Entry j of alpha, beta or gamma is read first
+# by step j.  Step 0 starts from C = 0, N = D: its drafts read only phi and
+# D, and its residual is exactly zero, so its gate (>= 0, which keeps the
+# sign of the zero it scales) cannot change state 1.
+_AT_STEP = lambda j, k: (j, True, True)
+_STEP_0 = lambda j, k: (0, True, True)
+_DRAFTS_0 = lambda j, k: (0, False, True)
+_GATE = lambda j, k: (min(1, k), True, False)
+_NO_STEP = lambda j, k: (k, False, False)
+_FIELD = lambda j, k: None
+
 # Every learnable quantity, in file order.  Serialization, loading, the fit
-# groups and the fit's parameter packing are all derived from this tuple.
+# groups, the fit's parameter packing and its resumed runs are all derived
+# from this tuple.
 LEAVES = (
-    *(Leaf(n, f"solver.{n}", "steps", lambda d, k, r: (k,)) for n in ("alpha", "beta", "gamma")),
-    Leaf("phi_c", "solver.phi_c", "coupling", lambda d, k, r: (d, 3 * d, 3, 3)),
-    Leaf("phi_n", "solver.phi_n", "coupling", lambda d, k, r: (d, 3 * d, 3, 3)),
-    *(Leaf(n, f"solver.{n}", "injection", _SQUARE) for n in ("psi_c", "psi_n")),
+    *(Leaf(n, f"solver.{n}", "steps", lambda d, k, r: (k,), _AT_STEP)
+      for n in ("alpha", "beta", "gamma")),
+    Leaf("phi_c", "solver.phi_c", "coupling", lambda d, k, r: (d, 3 * d, 3, 3), _DRAFTS_0),
+    Leaf("phi_n", "solver.phi_n", "coupling", lambda d, k, r: (d, 3 * d, 3, 3), _DRAFTS_0),
+    *(Leaf(n, f"solver.{n}", "injection", _SQUARE, _STEP_0) for n in ("psi_c", "psi_n")),
     *(
-        Leaf(f"{cell}_w_{g}", f"solver.{cell}.w_{g}", "memory", lambda d, k, r: (d, 2 * d))
+        Leaf(f"{cell}_w_{g}", f"solver.{cell}.w_{g}", "memory", lambda d, k, r: (d, 2 * d), _STEP_0)
         if w == "w"
-        else Leaf(f"{cell}_b_{g}", f"solver.{cell}.b_{g}", "memory_bias", _VECTOR)
+        else Leaf(f"{cell}_b_{g}", f"solver.{cell}.b_{g}", "memory_bias", _VECTOR, _STEP_0)
         for cell in ("mem_c", "mem_n")
         for g in "zrc"
         for w in "wb"
     ),
-    Leaf("gate_reducer", "solver.gate.reducer", "gate_reducer", lambda d, k, r: (r, d)),
-    Leaf("gate_scale", "solver.gate.scale", "gate", _SCALAR),
-    Leaf("gate_shift", "solver.gate.shift", "gate", _SCALAR),
-    Leaf("head_weights", "head.weights", "head", _VECTOR),
-    Leaf("head_bias", "head.bias", "head", _SCALAR),
+    Leaf("gate_reducer", "solver.gate.reducer", "gate_reducer", lambda d, k, r: (r, d), _GATE),
+    Leaf("gate_scale", "solver.gate.scale", "gate", _SCALAR, _GATE),
+    Leaf("gate_shift", "solver.gate.shift", "gate", _SCALAR, _GATE),
+    Leaf("head_weights", "head.weights", "head", _VECTOR, _NO_STEP),
+    Leaf("head_bias", "head.bias", "head", _SCALAR, _NO_STEP),
     *(
-        Leaf(f"align_{x}_{band}", f"align.{x}_{band}", "align", _SQUARE if x == "psi" else _SCALAR)
+        Leaf(f"align_{x}_{band}", f"align.{x}_{band}", "align",
+             _SQUARE if x == "psi" else _SCALAR, _FIELD)
         for band in "ahvd"
         for x in ("eta", "psi")
     ),
@@ -219,8 +240,8 @@ def loads_params(text: str) -> ModelParams:
         if value not in (0, 1):
             raise ConfigError(f"{name}: must be 0 or 1, got {value}")
     epsilon = get_value("epsilon", ())
-    if epsilon < 0:
-        raise ConfigError(f"epsilon: must be >= 0, got {epsilon!r}")
+    if epsilon <= 0:
+        raise ConfigError(f"epsilon: must be > 0, got {epsilon!r}")
     threshold = get_value("threshold", ())
     fields = {}  # container path -> {attribute: value}, filled in file order
     for leaf in LEAVES:

@@ -138,14 +138,17 @@ class SolverRun:
     """States and diagnostics of one unrolled run.
 
     ``states[k]`` is the (C, N) pair after k steps (index 0 = initial state);
-    ``gates[k]`` is the gate plane used in step k; ``trace`` has one row per
-    state.  The trace is computed on first read from the states and gates
-    alone (the input field D is ``states[0].n``, the run's own copy), so a
-    run whose trace is never read pays nothing for it.
+    ``gates[k]`` is the gate plane used in step k; ``drafts[k]``, kept only
+    when asked for (see :func:`run`), is step k's stacked conv drafts;
+    ``trace`` has one row per state.  The trace is computed on first read
+    from the states and gates alone (the input field D is ``states[0].n``,
+    the run's own copy), so a run whose trace is never read pays nothing for
+    it.
     """
 
     states: tuple
     gates: tuple
+    drafts: tuple = ()
 
     @property
     def final(self) -> SolverState:
@@ -281,22 +284,29 @@ def init_state(dfield) -> SolverState:
     return _initial_state(as_field(dfield, "init_state"))
 
 
-def step(dfield, state: SolverState, params: SolverParams, k: int):
-    """One unrolled step; returns (next state, gate plane used).
+def step(dfield, state: SolverState, params: SolverParams, k: int, drafts=None, gate=None):
+    """One unrolled step; returns (next state, gate plane used, conv drafts).
+
+    The drafts are the conv output of both branches, C's channels first.
+    ``drafts`` and ``gate``, when given, are this step's drafts and gate plane
+    from a run that reached the same state: the drafts of one with the same
+    ``phi_c``/``phi_n``, the gate of one with the same gate parameters.  The
+    step then uses them in place of computing them.
 
     Raises :class:`NumericalError` naming the step when the new C or N has a
     non-finite entry (an overflow from finite inputs).  A non-finite entry of
-    D fails the conv's input check: it reaches the residual, and C + N is
-    finite (the previous step checked it, or C and N were built from D).
+    D fails the conv's input check (with ``drafts`` given, that of the run
+    that made them): it reaches the residual, and C + N is finite (the
+    previous step checked it, or C and N were built from D).
     """
     dfield = field_shape(dfield, "step")
     if not 0 <= int(k) < params.steps:
         raise ConfigError(f"step index {k} out of range [0, {params.steps})")
     k = int(k)
     residual = dfield - (state.c + state.n)
-    stacked = np.concatenate([state.c, state.n, residual], axis=0)
-    phi = np.concatenate([params.phi_c, params.phi_n])
-    drafts = conv3x3_reflect(stacked, phi)
+    if drafts is None:
+        stacked = np.concatenate([state.c, state.n, residual], axis=0)
+        drafts = conv3x3_reflect(stacked, np.concatenate([params.phi_c, params.phi_n]))
     d = dfield.shape[0]
     draft_c, draft_n = drafts[:d], drafts[d:]
     update_c = params.alpha[k] * draft_c
@@ -308,10 +318,11 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
     else:
         mem_c = memory_update(prov_c, state.mem_c, params.mem_c)
         mem_n = memory_update(prov_n, state.mem_n, params.mem_n)
-    if params.gate_bypass:
-        gate = np.ones(dfield.shape[1:], dtype=np.float64)
-    else:
-        gate = gate_map(residual, params.gate)
+    if gate is None:
+        if params.gate_bypass:
+            gate = np.ones(dfield.shape[1:], dtype=np.float64)
+        else:
+            gate = gate_map(residual, params.gate)
     # The gated injections and the new C and N are checked right below, so
     # an overflow there is reported once, as a NumericalError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,7 +331,7 @@ def step(dfield, state: SolverState, params: SolverParams, k: int):
         # One scan: the sum is non-finite when either term is.
         if not np.all(np.isfinite(new_c + new_n)):
             raise NumericalError(f"step {k}: non-finite change or nuisance estimate")
-    return SolverState(c=new_c, n=new_n, mem_c=mem_c, mem_n=mem_n), gate
+    return SolverState(c=new_c, n=new_n, mem_c=mem_c, mem_n=mem_n), gate, drafts
 
 
 def _trace_row(dfield, state, k, gate) -> TraceRow:
@@ -339,21 +350,41 @@ def _trace_row(dfield, state, k, gate) -> TraceRow:
     )
 
 
-def run(dfield, params: SolverParams) -> SolverRun:
-    """Unroll all steps from the canonical initial state."""
+def run(dfield, params: SolverParams, prefix: SolverRun | None = None, drafts=None,
+        gate=None, keep_drafts: bool = False) -> SolverRun:
+    """Unroll the steps from the canonical initial state, or from ``prefix``.
+
+    ``prefix`` holds states 0..s and gates 0..s-1 of a run of the same field
+    whose parameters differed from ``params`` only in what steps s and later
+    read; the run then starts at step s from the last of those states.
+    ``drafts`` and ``gate``, when given, are that run's drafts and gate plane
+    of step s, passed on to :func:`step`.  With ``keep_drafts`` the run keeps
+    the drafts of each step it makes.
+    """
     dfield = as_field(dfield, "run")
     if dfield.shape[0] != params.channels:
         raise ConfigError(
             f"params built for {params.channels} channels, field has {dfield.shape[0]}"
         )
-    state = _initial_state(dfield)
-    states = [state]
-    gates = []
-    for k in range(params.steps):
-        state, gate = step(dfield, state, params, k)
+    if prefix is None:
+        states, gates = [_initial_state(dfield)], []
+    else:
+        states, gates = list(prefix.states), list(prefix.gates)
+        if not len(gates) + 1 == len(states) <= params.steps + 1:
+            raise ConfigError(
+                f"a prefix of {len(states)} states and {len(gates)} gates does not start"
+                f" a run of {params.steps} steps"
+            )
+    kept = []
+    for k in range(len(gates), params.steps):
+        state, gate, drafts = step(dfield, states[-1], params, k, drafts, gate)
         states.append(state)
         gates.append(gate)
-    return SolverRun(states=tuple(states), gates=tuple(gates))
+        if keep_drafts:
+            kept.append(drafts)
+        # reused parts serve step k alone; this step's drafts are not held into the next
+        drafts = gate = None
+    return SolverRun(states=tuple(states), gates=tuple(gates), drafts=tuple(kept))
 
 
 def predict(c_field, head: HeadParams):

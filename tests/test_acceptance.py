@@ -225,7 +225,7 @@ def test_criterion_05_step_oracle():
         )
         dfield = rng.normal(size=(channels, 8, 8))
         k = int(rng.integers(0, steps))
-        got, got_gate = step(dfield, state, params, k)
+        got, got_gate, _drafts = step(dfield, state, params, k)
         ref_c, ref_n, ref_mc, ref_mn, ref_gate = oracles.step_oracle(
             dfield, state.c, state.n, state.mem_c, state.mem_n, params, k
         )

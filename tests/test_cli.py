@@ -120,8 +120,21 @@ def test_negative_setting_is_config_error(capsys, tmp_path, command, line):
     code = main([command, "--seed", "0", "--config", str(cfg), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"'{line.split()[0]}' must be >= 0" in err
+    key = line.split()[0]
+    bound = "> 0" if key == "epsilon" else ">= 0"  # epsilon = 0 is rejected too
+    assert err.startswith("error:") and f"'{key}' must be {bound}" in err
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_zero_epsilon_is_config_error(capsys, tmp_path):
+    # k-sweep's K = 0 row has C = 0, whose separation divides by epsilon.
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text(TINY_CFG + "epsilon = 0\n")
+    out = tmp_path / "ks.csv"
+    assert main(["k-sweep", "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config key 'epsilon' must be > 0, got 0.0\n"
     assert not out.exists()
 
 

@@ -31,9 +31,9 @@ from diffdecomp.experiments import (
     sensitivity_rows,
     sve_prior_rows,
 )
-from diffdecomp.fit import FitConfig, fit_model
+from diffdecomp.fit import FitConfig, apply_theta, fit_model, pack_params
 from diffdecomp.objective import nuisance_mean, separation
-from diffdecomp.params import dumps_params
+from diffdecomp.params import LEAVES, dumps_params
 from diffdecomp.sve import group_means, patch_entropies
 from diffdecomp.synth import gen_bitemporal, gen_instance
 from diffdecomp.wavelet import Subbands
@@ -83,16 +83,16 @@ def test_mapping_validates_semantics():
         config_from_mapping({"rectangles": "1,2,3"})
     with pytest.raises(ConfigError):
         config_from_mapping({"lam_rec": "soft"})
-    for key in ("steps", "iterations", "k_max", "epsilon"):
+    for key in ("steps", "iterations", "k_max"):
         with pytest.raises(ConfigError, match=f"'{key}' must be >= 0"):
             config_from_mapping({key: "-1"})
-    assert config_from_mapping({"epsilon": "0"}).epsilon == 0.0
     with pytest.raises(ConfigError, match="'learning_rate' must be >= 0"):
         config_from_mapping({"learning_rate": "-0.05"})
     assert config_from_mapping({"learning_rate": "0"}).learning_rate == 0.0
-    for raw in ("0", "-1e-4"):
-        with pytest.raises(ConfigError, match="'step_size' must be > 0"):
-            config_from_mapping({"step_size": raw})
+    for key in ("step_size", "epsilon"):
+        for raw in ("0", "-1e-4"):
+            with pytest.raises(ConfigError, match=f"'{key}' must be > 0"):
+                config_from_mapping({key: raw})
 
 
 @pytest.mark.parametrize(
@@ -224,6 +224,29 @@ def test_fit_on_batch_fields_match_per_evaluation(monkeypatch, groups):
     reference = fit_model(make_model(cfg), batch_report, fit_cfg)
     assert dumps_params(result.params) == dumps_params(reference.params)
     assert result.curve == reference.curve
+
+
+ALL_GROUPS = tuple(dict.fromkeys(leaf.group for leaf in LEAVES))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+@pytest.mark.parametrize("use_gating, memory_bypass", [(1, 0), (0, 0), (1, 1)])
+def test_resumed_coordinate_loss_equals_full_run(steps, use_gating, memory_bypass):
+    # Every coordinate of every group, moved both ways from a theta off the
+    # initial bundle; bi-temporal, so the align coordinates remake the field.
+    cfg = replace(TINY, mode="bitemporal", steps=steps, use_gating=use_gating,
+                  memory_bypass=memory_bypass, groups=",".join(ALL_GROUPS))
+    model, stage = make_model(cfg), make_stage(cfg)
+    report, loss = experiments._batch_objective(cfg, model, stage, ALL_GROUPS)
+    theta0 = pack_params(model, ALL_GROUPS)
+    theta = theta0 + np.random.default_rng(steps).normal(0.0, 0.05, theta0.size)
+    h = cfg.step_size
+    for i in range(theta.size):
+        for value in (theta[i] + h, theta[i] - h):
+            moved = theta.copy()
+            moved[i] = value
+            want = report(apply_theta(model, ALL_GROUPS, moved)).total
+            assert loss(theta, i, value) == want, (i, value)
 
 
 # ------------------------------------------------------------------ row builders

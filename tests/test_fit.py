@@ -13,12 +13,14 @@ import pytest
 
 import diffdecomp.fit as fit_module
 from diffdecomp.core import ConfigError, NumericalError
-from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model
+from diffdecomp import experiments
+from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model, make_stage
 from diffdecomp.fit import (
     FitConfig,
     FitDivergedError,
     FitError,
     _pool,
+    _vector_loss,
     apply_theta,
     fd_gradient,
     fit,
@@ -167,7 +169,7 @@ def test_forked_fd_gradient_matches_serial(rng):
     def loss(th):
         return float(np.sum(a * th * th) + np.sum(np.sin(th)))
 
-    with _pool(loss, 3) as pool:
+    with _pool(_vector_loss(loss), 3) as pool:
         forked = fd_gradient(loss, theta, 1e-4, pool=pool)
         again = fd_gradient(loss, theta + 0.5, 1e-4, pool=pool)
     assert np.array_equal(forked, fd_gradient(loss, theta))
@@ -195,7 +197,7 @@ def test_busy_helper_takes_fewer_coordinates(tmp_path):
         return float(np.sum(np.cos(th)))
 
     theta = np.linspace(-1.0, 1.0, 12)
-    with _pool(loss, 2) as pool:
+    with _pool(_vector_loss(loss), 2) as pool:
         forked = fd_gradient(loss, theta, 1e-4, pool=pool)
     assert 0 < len(log.read_text(encoding="utf-8").split()) < theta.size
     assert np.array_equal(forked, fd_gradient(loss, theta))
@@ -211,7 +213,7 @@ def test_workers_ignore_interrupts(tmp_path):
                 f.write(f"{signal.getsignal(signal.SIGINT)!r}\n")
         return float(np.sum(th**2))
 
-    with _pool(loss, 2) as pool:
+    with _pool(_vector_loss(loss), 2) as pool:
         fd_gradient(loss, np.zeros(4), 1e-4, pool=pool)
     assert log.read_text(encoding="utf-8").splitlines() == [repr(signal.SIG_IGN)] * 8
     assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
@@ -242,6 +244,55 @@ def test_forked_fit_on_batch_matches_serial(monkeypatch, forks):
     assert np.array_equal(serial.theta, forked.theta)
     assert serial.curve == forked.curve
     assert dumps_params(serial.params) == dumps_params(forked.params)
+
+
+SMALL = ExperimentConfig(channels=2, height=8, width=8, patch_side=4, reduced_channels=2,
+                         rectangles="0,0,4,4", instances=2, iterations=2)
+
+
+def test_forked_resumed_gradient_matches_serial():
+    # The workers keep the centre of theta; at theta + 0.5 each must build
+    # its own again.
+    groups = FitConfig().groups
+    model = make_model(SMALL)
+    report, loss = experiments._batch_objective(SMALL, model, make_stage(SMALL), groups)
+
+    def total(th):
+        return report(apply_theta(model, groups, th)).total
+
+    theta = pack_params(model, groups)
+    with _pool(loss, 2) as pool:
+        forked = [fd_gradient(total, th, 1e-4, pool=pool) for th in (theta, theta + 0.5)]
+    for grad, th in zip(forked, (theta, theta + 0.5)):
+        assert np.array_equal(grad, fd_gradient(total, th, 1e-4))
+        assert np.array_equal(grad, fit_module._gradient(loss, th, 1e-4, None))
+
+
+@pytest.fixture
+def centre_builds(monkeypatch):
+    """The runs this process makes with drafts kept: the centres the fit builds here."""
+    builds = []
+    real_run = experiments.run
+
+    def recording_run(*args, **kwargs):
+        if kwargs.get("keep_drafts"):
+            builds.append(os.getpid())
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", recording_run)
+    return builds
+
+
+def test_serial_fit_builds_one_centre_per_theta(monkeypatch, forks, centre_builds):
+    with_cpus(monkeypatch, 1, lambda: fit_on_batch(SMALL))
+    assert forks == []
+    assert len(centre_builds) == SMALL.iterations * SMALL.instances
+
+
+def test_forked_fit_builds_no_centre_here(monkeypatch, forks, centre_builds):
+    with_cpus(monkeypatch, 2, lambda: fit_on_batch(SMALL))
+    assert len(forks) == 2
+    assert centre_builds == []
 
 
 # Six coordinates that three workers take from one queue in any split.

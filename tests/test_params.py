@@ -197,9 +197,11 @@ def test_negative_dimension_rejected():
 
 
 @pytest.mark.parametrize(
-    "line", ["epsilon = -1.0", "epsilon = -5e-324", "patch_side = 0", "patch_side = -4"]
+    "line",
+    ["epsilon = -1.0", "epsilon = -5e-324", "epsilon = 0.0", "patch_side = 0", "patch_side = -4"],
 )
 def test_out_of_range_setting_rejected(line):
     key = _key(line)
-    with pytest.raises(ConfigError, match=rf"^{key}: must be >= "):
+    bound = "> 0" if key == "epsilon" else ">= 1"
+    with pytest.raises(ConfigError, match=rf"^{key}: must be {bound}, "):
         loads_params(_with_line(_valid_lines(), key, line))

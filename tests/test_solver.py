@@ -196,7 +196,7 @@ def test_step_matches_straightline_oracle(rng):
         dfield = rng.normal(0.0, 1.0, (channels, 8, 8))
         state = random_state(rng, channels, 8, 8)
         k = int(rng.integers(0, 3))
-        got, gate = step(dfield, state, params, k)
+        got, gate, _drafts = step(dfield, state, params, k)
         oc, on, omc, omn, ogate = oracles.step_oracle(
             dfield, state.c, state.n, state.mem_c, state.mem_n, params, k
         )
@@ -240,7 +240,7 @@ def test_memory_bypass_keeps_provisional_states(rng):
     state = random_state(rng, 2, 8, 8)
     residual = dfield - (state.c + state.n)
     stacked = np.concatenate([state.c, state.n, residual], axis=0)
-    new_state, _gate = step(dfield, state, params, 0)
+    new_state, _gate, _drafts = step(dfield, state, params, 0)
     want_c = state.c + params.alpha[0] * conv3x3_reflect(stacked, params.phi_c)
     want_n = state.n + params.beta[0] * conv3x3_reflect(stacked, params.phi_n)
     assert np.array_equal(new_state.mem_c, want_c)
@@ -253,9 +253,12 @@ def test_step_drafts_equal_one_conv_per_branch(rng):
     state = random_state(rng, 3, 8, 8)
     residual = dfield - (state.c + state.n)
     stacked = np.concatenate([state.c, state.n, residual], axis=0)
-    new_state, _gate = step(dfield, state, params, 1)
-    prov_c = state.c + params.alpha[1] * conv3x3_reflect(stacked, params.phi_c)
-    prov_n = state.n + params.beta[1] * conv3x3_reflect(stacked, params.phi_n)
+    new_state, _gate, drafts = step(dfield, state, params, 1)
+    draft_c = conv3x3_reflect(stacked, params.phi_c)
+    draft_n = conv3x3_reflect(stacked, params.phi_n)
+    assert np.array_equal(drafts, np.concatenate([draft_c, draft_n]))
+    prov_c = state.c + params.alpha[1] * draft_c
+    prov_n = state.n + params.beta[1] * draft_n
     assert np.array_equal(new_state.mem_c, memory_update(prov_c, state.mem_c, params.mem_c))
     assert np.array_equal(new_state.mem_n, memory_update(prov_n, state.mem_n, params.mem_n))
 
@@ -264,7 +267,7 @@ def test_gate_bypass_uses_unit_gate(rng):
     params = random_params(rng, 2, steps=1, patch_side=4, seed=4)
     params.gate_bypass = True
     dfield = rng.normal(0.0, 1.0, (2, 8, 8))
-    _state, gate = step(dfield, init_state(dfield), params, 0)
+    _state, gate, _drafts = step(dfield, init_state(dfield), params, 0)
     assert np.array_equal(gate, np.ones((8, 8)))
 
 
@@ -306,6 +309,26 @@ def test_run_channel_mismatch(rng):
     params = init_solver_params(3, steps=1, reduced_channels=3, patch_side=4)
     with pytest.raises(ConfigError):
         run(rng.normal(0.0, 1.0, (2, 8, 8)), params)
+
+
+def test_run_resumes_a_prefix(rng):
+    params = random_params(rng, 2, steps=3, patch_side=4, seed=8)
+    dfield = rng.normal(0.0, 1.0, (2, 8, 8))
+    full = run(dfield, params, keep_drafts=True)
+    assert len(full.drafts) == 3 and run(dfield, params).drafts == ()
+    for s in range(4):
+        prefix = solver.SolverRun(states=full.states[: s + 1], gates=full.gates[:s])
+        parts = (full.drafts[s], full.gates[s]) if s < 3 else ()
+        resumed = run(dfield, params, prefix, *parts)
+        assert all(a is b for a, b in zip(resumed.states[: s + 1], full.states))
+        for got, want in zip(resumed.states[s + 1 :], full.states[s + 1 :]):
+            assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                       for f in ("c", "n", "mem_c", "mem_n"))
+    for states, gates in ((full.states[:2], ()), (full.states, full.gates[:2])):
+        with pytest.raises(ConfigError, match="prefix"):
+            run(dfield, params, solver.SolverRun(states=states, gates=gates))
+    with pytest.raises(ConfigError, match="prefix"):
+        run(dfield, random_params(rng, 2, steps=1, patch_side=4), full)
 
 
 # ------------------------------------------------------------------ run diagnostics

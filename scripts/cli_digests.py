@@ -11,7 +11,9 @@ rewrites the file and says why:
 
     PYTHONPATH=src python scripts/cli_digests.py --write
 
-``--print`` writes the digests as JSON to stdout instead.
+``--print`` writes the digests as JSON to stdout instead.  ``--check`` prints
+the ``config/command/file`` (``.../stdout`` for stdout) of each output whose
+digest differs from the file's, one a line, and exits 1 if there is one.
 """
 
 import argparse
@@ -111,6 +113,19 @@ def digests() -> dict:
     return result
 
 
+def differences(got: dict, want: dict) -> list:
+    """``config/command/output`` of each digest that differs, or that one side lacks."""
+
+    def flat(values):
+        return {f"{config}/{command}/{output}": digest
+                for config, commands in values.items()
+                for command, entry in commands.items()
+                for output, digest in [("stdout", entry["stdout"]), *entry["files"].items()]}
+
+    a, b = flat(got), flat(want)
+    return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+
+
 def dumps(values: dict) -> str:
     return json.dumps(values, indent=1, sort_keys=True) + "\n"
 
@@ -121,14 +136,23 @@ def main(argv=None):
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help=f"rewrite {GOLDEN}")
     mode.add_argument("--print", action="store_true", help="write the digests to stdout")
+    mode.add_argument("--check", action="store_true",
+                      help=f"list the outputs whose digests differ from {GOLDEN.name}")
     args = ap.parse_args(argv)
-    text = dumps(digests())
+    values = digests()
+    if args.check:
+        changed = differences(values, json.loads(GOLDEN.read_text(encoding="utf-8")))
+        for name in changed:
+            print(name)
+        return 1 if changed else 0
+    text = dumps(values)
     if args.write:
         GOLDEN.write_text(text, encoding="utf-8")
         print(f"wrote {GOLDEN}")
     else:
         sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

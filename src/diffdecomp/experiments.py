@@ -19,9 +19,9 @@ import numpy as np
 from . import rng
 from .convergence import consistency_distance, contraction_report, scores_from_residuals
 from .core import ConfigError, frobenius_norm, parse_name_values, singular_values
-from .fit import FitConfig, FitResult, _selected_leaves, apply_theta, fit_model
+from .fit import FitConfig, FitResult, _selected_leaves, apply_theta, fit, pack_params
 from .objective import LossReport, StageConfig, f1_score, nuisance_mean, separation, total_loss
-from .params import ModelParams, init_model_params
+from .params import ModelParams, init_model_params, replace_leaves
 from .solver import SolverRun, init_state, predict, run, step
 from .sve import group_means, patch_entropies
 from .synth import BitemporalPair, SynthInstance, SynthSpec, gen_bitemporal, gen_instance
@@ -283,80 +283,81 @@ def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
         model = make_model(cfg)
     if stage is None:
         stage = make_stage(cfg)
-    fit_cfg = FitConfig(
-        learning_rate=cfg.learning_rate,
-        iterations=cfg.iterations,
-        step_size=cfg.step_size,
-        groups=_fit_groups(cfg),
-    )
-    report, coordinate_loss = _batch_objective(cfg, model, stage, fit_cfg.groups)
-    return fit_model(model, report, fit_cfg, coordinate_loss)
+    groups = _fit_groups(cfg)
+    report, coordinate_loss = _batch_objective(cfg, model, stage, groups)
+    fit_cfg = FitConfig(learning_rate=cfg.learning_rate, iterations=cfg.iterations,
+                        step_size=cfg.step_size)
+    theta, curve = fit(report, pack_params(model, groups), fit_cfg, coordinate_loss)
+    return FitResult(params=apply_theta(model, groups, theta), theta=theta, curve=curve)
 
 
 def _batch_objective(cfg: ExperimentConfig, model: ModelParams, stage: StageConfig, groups):
-    """(mean LossReport of a bundle, coordinate loss) on the config's fit batch.
+    """(report, coordinate loss) of the bundle's ``groups`` on the config's fit batch.
+
+    ``report(theta)`` is the mean LossReport of the bundle at ``theta``;
+    ``loss(theta, i, value)`` is the mean total of that bundle with entry
+    ``i`` set to ``value``.  Both read the centre: the bundle at ``theta`` and
+    each item's run of it with drafts kept.  A process makes the centre on its
+    first call at a new ``theta`` and keeps that one alone, so in a fit the
+    report after each update is the next gradient's centre, and forked
+    workers inherit the centre of the first ``theta``.
 
     Unless ``align`` is fitted, each item's difference field is the same for
-    every bundle the fit tries, so it is made once, here.
-
-    The coordinate loss ``loss(theta, i, value)`` is the mean total of the
-    bundle at ``theta`` with entry ``i`` set to ``value``.  Its process makes
-    the centre, each item's run of the bundle at ``theta`` with its drafts,
-    on its first call at a new ``theta``, and keeps that one centre alone.  A
-    moved entry's run then resumes the centre where the entry's leaf says
-    (:attr:`params.Leaf.reach`), one item at a time: the same arithmetic on
-    the same inputs as a whole run, so the same bits.
+    every bundle, so it is made once, here.  A moved entry replaces its leaf
+    in the centre's bundle, and its run resumes the centre's where the leaf
+    says (:attr:`params.Leaf.reach`), one item at a time: the same arithmetic
+    on the same inputs as a whole run, so the same bits.
     """
     batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
 
     def fields_of(bundle: ModelParams):
         return [difference_field(item, bundle.align, bool(cfg.use_align)) for item in batch]
 
+    def mean_report(bundle: ModelParams, fields, runs) -> LossReport:
+        """The mean LossReport of the runs of ``fields``, in batch order.
+
+        ``map`` frees each run once scored, before ``runs`` makes the next; a
+        comprehension's loop variable would hold it, and two moved runs at
+        once made the heap shrink and regrow at every coordinate.
+        """
+        def item_report(d, solver_run, item):
+            return _score(bundle, solver_run, d, item.labels, cfg, stage)[0]
+
+        return _mean_report(list(map(item_report, fields, runs, batch)))
+
     fixed = None if "align" in groups else fields_of(model)
-
-    def batch_report(bundle: ModelParams) -> LossReport:
-        fields = fields_of(bundle) if fixed is None else fixed
-        return _mean_report([_score(bundle, run(d, bundle.solver), d, item.labels, cfg, stage)[0]
-                             for d, item in zip(fields, batch)])
-
     # coordinate i -> (leaf, flat index of its entry)
     coordinates = [(leaf, j) for leaf in _selected_leaves(groups)
                    for j in range(np.size(leaf.get(model)))]
-    centre = {}  # theta's bytes -> [(field, run with drafts)], one item each
+    centre = {}  # theta's bytes -> (bundle, fields, runs with drafts), one item each
 
-    def coordinate_loss(theta, i: int, value) -> float:
-        moved = theta.copy()
-        moved[i] = value
-        bundle = apply_theta(model, groups, moved)
-        leaf, j = coordinates[i]
-        reach = leaf.reach(j, bundle.solver.steps)
-        if reach is None:
-            return batch_report(bundle).total
+    def centre_at(theta):
         key = theta.tobytes()
         if key not in centre:
             centre.clear()
-            at_theta = apply_theta(model, groups, theta)
-            fields = fields_of(at_theta) if fixed is None else fixed
-            centre[key] = [(d, run(d, at_theta.solver, keep_drafts=True)) for d in fields]
-        return _mean_report([
-            _score(bundle, _resume(d, bundle.solver, centre_run, *reach), d, item.labels, cfg,
-                   stage)[0]
-            for (d, centre_run), item in zip(centre[key], batch)
-        ]).total
+            bundle = apply_theta(model, groups, theta)
+            fields = fields_of(bundle) if fixed is None else fixed
+            centre[key] = bundle, fields, [run(d, bundle.solver, keep_drafts=True) for d in fields]
+        return centre[key]
 
-    return batch_report, coordinate_loss
+    def report(theta) -> LossReport:
+        return mean_report(*centre_at(theta))
 
+    def coordinate_loss(theta, i: int, value) -> float:
+        bundle, fields, runs = centre_at(theta)
+        leaf, j = coordinates[i]
+        entries = np.array(leaf.get(bundle), dtype=np.float64)  # a copy
+        entries.flat[j] = value
+        moved = replace_leaves(bundle, [(leaf, float(entries) if entries.ndim == 0 else entries)])
+        reach = leaf.reach(j, moved.solver.steps)
+        if reach is None:
+            fields = fields_of(moved)
+            moved_runs = (run(d, moved.solver) for d in fields)
+        else:
+            moved_runs = (run(d, moved.solver, c, reach) for d, c in zip(fields, runs))
+        return mean_report(moved, fields, moved_runs).total
 
-def _resume(dfield, solver, centre: SolverRun, start: int, same_drafts: bool, same_gate: bool):
-    """The run of ``solver`` that resumes ``centre`` at step ``start``.
-
-    The flags say whether step ``start`` keeps the centre's drafts and gate.
-    """
-    prefix = SolverRun(states=centre.states[: start + 1], gates=centre.gates[:start])
-    if start == len(centre.gates):
-        return run(dfield, solver, prefix)
-    return run(dfield, solver, prefix, centre.drafts[start] if same_drafts else None,
-               centre.gates[start] if same_gate else None)
+    return report, coordinate_loss
 
 
 # ---------------------------------------------------------------- experiments

@@ -42,7 +42,6 @@ __all__ = [
     "apply_theta",
     "fd_gradient",
     "fit",
-    "fit_model",
 ]
 
 # the longest parameter vector a fit accepts
@@ -76,7 +75,6 @@ class FitConfig:
     learning_rate: float = 0.05
     iterations: int = 300
     step_size: float = 1e-4          # finite-difference half-step
-    groups: tuple = ("steps", "gate", "head", "memory_bias")
 
 
 @dataclass(frozen=True)
@@ -272,18 +270,3 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig(), coordinate_loss=None
             pool.shutdown(cancel_futures=True)
     return theta, tuple(curve)
 
-
-def fit_model(params: ModelParams, report_of_params, config: FitConfig = FitConfig(),
-              coordinate_loss=None) -> FitResult:
-    """Fit the selected groups of a bundle against a LossReport-valued objective.
-
-    ``coordinate_loss`` is passed to :func:`fit`; by default it evaluates
-    ``report_of_params`` of the whole moved bundle.
-    """
-    theta0 = pack_params(params, config.groups)
-
-    def report_fn(theta):
-        return report_of_params(apply_theta(params, config.groups, theta))
-
-    theta, curve = fit(report_fn, theta0, config, coordinate_loss)
-    return FitResult(params=apply_theta(params, config.groups, theta), theta=theta, curve=curve)

@@ -350,31 +350,35 @@ def _trace_row(dfield, state, k, gate) -> TraceRow:
     )
 
 
-def run(dfield, params: SolverParams, prefix: SolverRun | None = None, drafts=None,
-        gate=None, keep_drafts: bool = False) -> SolverRun:
-    """Unroll the steps from the canonical initial state, or from ``prefix``.
+def run(dfield, params: SolverParams, centre: SolverRun | None = None, reach=None,
+        keep_drafts: bool = False) -> SolverRun:
+    """Unroll the steps from the canonical initial state, or resume ``centre``.
 
-    ``prefix`` holds states 0..s and gates 0..s-1 of a run of the same field
-    whose parameters differed from ``params`` only in what steps s and later
-    read; the run then starts at step s from the last of those states.
-    ``drafts`` and ``gate``, when given, are that run's drafts and gate plane
-    of step s, passed on to :func:`step`.  With ``keep_drafts`` the run keeps
-    the drafts of each step it makes.
+    ``centre`` is a run of the same field with drafts kept, by parameters that
+    differ from ``params`` only as ``reach = (s, same_drafts, same_gate)`` allows
+    (:attr:`params.Leaf.reach`).  The run takes its states 0..s, and for step s
+    its drafts and gate plane where the flags say.  With ``keep_drafts`` the
+    run keeps the drafts of each step it makes.
     """
     dfield = as_field(dfield, "run")
     if dfield.shape[0] != params.channels:
         raise ConfigError(
             f"params built for {params.channels} channels, field has {dfield.shape[0]}"
         )
-    if prefix is None:
+    drafts = gate = None
+    if centre is None:
         states, gates = [_initial_state(dfield)], []
     else:
-        states, gates = list(prefix.states), list(prefix.gates)
-        if not len(gates) + 1 == len(states) <= params.steps + 1:
+        s, same_drafts, same_gate = reach
+        if not len(centre.drafts) == len(centre.gates) == params.steps >= s >= 0:
             raise ConfigError(
-                f"a prefix of {len(states)} states and {len(gates)} gates does not start"
-                f" a run of {params.steps} steps"
+                f"a centre of {len(centre.gates)} steps with {len(centre.drafts)} kept drafts"
+                f" cannot resume a run of {params.steps} steps at state {s}"
             )
+        states, gates = list(centre.states[: s + 1]), list(centre.gates[:s])
+        if s < params.steps:
+            drafts = centre.drafts[s] if same_drafts else None
+            gate = centre.gates[s] if same_gate else None
     kept = []
     for k in range(len(gates), params.steps):
         state, gate, drafts = step(dfield, states[-1], params, k, drafts, gate)

@@ -27,7 +27,7 @@ class TensorFormatError(ValueError):
 
 
 def write_tensor(path, array) -> None:
-    arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
+    arr = np.asarray(array, dtype=np.float64)
     if arr.ndim < 1 or arr.ndim > 255:
         raise TensorFormatError(f"unsupported rank {arr.ndim}")
     if any(s >= 2**32 for s in arr.shape):
@@ -50,6 +50,8 @@ def read_tensor(path) -> np.ndarray:
             raise TensorFormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise TensorFormatError(f"unsupported version {version}")
+        if rank < 1:
+            raise TensorFormatError("unsupported rank 0")
         dims_raw = fh.read(4 * rank)
         if len(dims_raw) != 4 * rank:
             raise TensorFormatError("truncated dimension list")

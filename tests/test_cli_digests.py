@@ -31,7 +31,7 @@ def test_golden_names_every_command_of_every_config():
 
 
 def test_cli_outputs_match_golden_digests():
-    assert digests.digests() == golden()
+    assert digests.differences(digests.digests(), golden()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity to set")
@@ -41,9 +41,19 @@ def test_cli_outputs_match_golden_digests_on_one_cpu():
     pkg_root = str(Path(diffdecomp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "cli_digests.py"), "--print"],
+        [sys.executable, str(SCRIPTS / "cli_digests.py"), "--check"],
         capture_output=True, text=True, env=env, timeout=300,
         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == golden()
+    assert (proc.stdout.split(), proc.returncode) == ([], 0), proc.stderr
+
+
+def test_differences_name_each_changed_output():
+    want = golden()
+    got = json.loads(json.dumps(want))
+    got["tiny"]["fit"]["stdout"] = "0"
+    got["tiny"]["gen"]["files"]["gen/extra.pufd"] = "0"
+    del got["forking"]["check"]["files"]["check.csv"]
+    assert digests.differences(got, want) == [
+        "forking/check/check.csv", "tiny/fit/stdout", "tiny/gen/gen/extra.pufd"]
+    assert digests.differences(want, want) == []

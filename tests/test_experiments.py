@@ -31,7 +31,7 @@ from diffdecomp.experiments import (
     sensitivity_rows,
     sve_prior_rows,
 )
-from diffdecomp.fit import FitConfig, apply_theta, fit_model, pack_params
+from diffdecomp.fit import FitConfig, apply_theta, fit, pack_params
 from diffdecomp.objective import nuisance_mean, separation
 from diffdecomp.params import LEAVES, dumps_params
 from diffdecomp.sve import group_means, patch_entropies
@@ -215,15 +215,18 @@ def test_fit_on_batch_fields_match_per_evaluation(monkeypatch, groups):
     stage = make_stage(cfg)
     batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
 
-    def batch_report(bundle):
+    model, names = make_model(cfg), tuple(groups.split(","))
+
+    def batch_report(theta):
+        bundle = apply_theta(model, names, theta)
         reports = [evaluate_instance(bundle, item, cfg, stage)[1] for item in batch]
         return experiments._mean_report(reports)
 
     fit_cfg = FitConfig(learning_rate=cfg.learning_rate, iterations=cfg.iterations,
-                        step_size=cfg.step_size, groups=tuple(groups.split(",")))
-    reference = fit_model(make_model(cfg), batch_report, fit_cfg)
-    assert dumps_params(result.params) == dumps_params(reference.params)
-    assert result.curve == reference.curve
+                        step_size=cfg.step_size)
+    theta, curve = fit(batch_report, pack_params(model, names), fit_cfg)
+    assert dumps_params(result.params) == dumps_params(apply_theta(model, names, theta))
+    assert result.curve == curve
 
 
 ALL_GROUPS = tuple(dict.fromkeys(leaf.group for leaf in LEAVES))
@@ -237,7 +240,14 @@ def test_resumed_coordinate_loss_equals_full_run(steps, use_gating, memory_bypas
     cfg = replace(TINY, mode="bitemporal", steps=steps, use_gating=use_gating,
                   memory_bypass=memory_bypass, groups=",".join(ALL_GROUPS))
     model, stage = make_model(cfg), make_stage(cfg)
-    report, loss = experiments._batch_objective(cfg, model, stage, ALL_GROUPS)
+    _, loss = experiments._batch_objective(cfg, model, stage, ALL_GROUPS)
+    batch = [make_item(cfg, cfg.seed + 10_000 + i) for i in range(cfg.instances)]
+
+    def whole_run_total(theta):  # evaluate_instance: a whole run and _score
+        bundle = apply_theta(model, ALL_GROUPS, theta)
+        reports = [evaluate_instance(bundle, item, cfg, stage)[1] for item in batch]
+        return experiments._mean_report(reports).total
+
     theta0 = pack_params(model, ALL_GROUPS)
     theta = theta0 + np.random.default_rng(steps).normal(0.0, 0.05, theta0.size)
     h = cfg.step_size
@@ -245,8 +255,7 @@ def test_resumed_coordinate_loss_equals_full_run(steps, use_gating, memory_bypas
         for value in (theta[i] + h, theta[i] - h):
             moved = theta.copy()
             moved[i] = value
-            want = report(apply_theta(model, ALL_GROUPS, moved)).total
-            assert loss(theta, i, value) == want, (i, value)
+            assert loss(theta, i, value) == whole_run_total(moved), (i, value)
 
 
 # ------------------------------------------------------------------ row builders

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import pathlib
 import signal
@@ -13,7 +14,7 @@ import pytest
 
 import diffdecomp.fit as fit_module
 from diffdecomp.core import ConfigError, NumericalError
-from diffdecomp import experiments
+from diffdecomp import experiments, solver
 from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model, make_stage
 from diffdecomp.fit import (
     FitConfig,
@@ -250,17 +251,19 @@ SMALL = ExperimentConfig(channels=2, height=8, width=8, patch_side=4, reduced_ch
                          rectangles="0,0,4,4", instances=2, iterations=2)
 
 
+DEFAULT_GROUPS = tuple(ExperimentConfig().groups.split(","))
+
+
 def test_forked_resumed_gradient_matches_serial():
     # The workers keep the centre of theta; at theta + 0.5 each must build
     # its own again.
-    groups = FitConfig().groups
     model = make_model(SMALL)
-    report, loss = experiments._batch_objective(SMALL, model, make_stage(SMALL), groups)
+    report, loss = experiments._batch_objective(SMALL, model, make_stage(SMALL), DEFAULT_GROUPS)
 
     def total(th):
-        return report(apply_theta(model, groups, th)).total
+        return report(th).total
 
-    theta = pack_params(model, groups)
+    theta = pack_params(model, DEFAULT_GROUPS)
     with _pool(loss, 2) as pool:
         forked = [fd_gradient(total, th, 1e-4, pool=pool) for th in (theta, theta + 0.5)]
     for grad, th in zip(forked, (theta, theta + 0.5)):
@@ -284,15 +287,67 @@ def centre_builds(monkeypatch):
 
 
 def test_serial_fit_builds_one_centre_per_theta(monkeypatch, forks, centre_builds):
+    # The initial report's centre and the report's after each update.
     with_cpus(monkeypatch, 1, lambda: fit_on_batch(SMALL))
     assert forks == []
-    assert len(centre_builds) == SMALL.iterations * SMALL.instances
+    assert len(centre_builds) == (SMALL.iterations + 1) * SMALL.instances
 
 
-def test_forked_fit_builds_no_centre_here(monkeypatch, forks, centre_builds):
+def test_forked_fit_builds_one_centre_per_theta_here(monkeypatch, forks, centre_builds):
+    # The workers build their own centres after the first, which they inherit.
     with_cpus(monkeypatch, 2, lambda: fit_on_batch(SMALL))
     assert len(forks) == 2
-    assert centre_builds == []
+    assert centre_builds == [os.getpid()] * (SMALL.iterations + 1) * SMALL.instances
+
+
+# The README's table of where a moved entry's run resumes, for the default
+# groups: group -> (first state kept, of entry j at depth K; the run reuses
+# that step's drafts; it reuses that step's gate).
+RESUME_TABLE = {
+    "steps": (lambda j, k: j, True, True),
+    "gate": (lambda j, k: min(1, k), True, False),
+    "head": (lambda j, k: k, False, False),
+    "memory_bias": (lambda j, k: 0, True, True),
+}
+
+
+def test_fit_iteration_work_follows_the_resume_table(monkeypatch, forks):
+    # Lost reuse keeps every bit, so the work itself is counted: solver
+    # steps, convs, gate maps, and whole runs (those that resume nothing).
+    cfg = ExperimentConfig(instances=2, iterations=1)
+    counts = dict.fromkeys(("step", "conv3x3_reflect", "gate_map", "whole runs"), 0)
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            if key != "whole runs" or (len(args) < 3 and kwargs.get("centre") is None):
+                counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("step", "conv3x3_reflect", "gate_map"):
+        counting(solver, name, name)
+    counting(experiments, "run", "whole runs")
+    with_cpus(monkeypatch, 1, lambda: fit_on_batch(cfg))
+    assert forks == []
+
+    k, moved = cfg.steps, {"step": 0, "conv3x3_reflect": 0, "gate_map": 0}
+    assert tuple(RESUME_TABLE) == DEFAULT_GROUPS
+    for leaf in LEAVES:
+        if leaf.group in RESUME_TABLE:
+            first, same_drafts, same_gate = RESUME_TABLE[leaf.group]
+            for j in range(math.prod(leaf.shape(cfg.channels, k, cfg.reduced_channels))):
+                made = k - first(j, k)  # steps of each of the entry's two runs
+                moved["step"] += 2 * made
+                moved["conv3x3_reflect"] += 2 * (made - (same_drafts and made > 0))
+                moved["gate_map"] += 2 * (made - (same_gate and made > 0))
+    whole = cfg.iterations + 1  # one centre per theta; the report reads it
+    want = {name: cfg.iterations * n + whole * k for name, n in moved.items()}
+    want["whole runs"] = whole
+    assert want == {"step": 194, "conv3x3_reflect": 124, "gate_map": 128, "whole runs": 2}
+    assert counts == {name: n * cfg.instances for name, n in want.items()}
 
 
 # Six coordinates that three workers take from one queue in any split.
@@ -475,9 +530,8 @@ def test_apply_theta_size_checked():
 def test_apply_theta_shares_no_containers():
     params = init_model_params(channels=2, steps=2, reduced_channels=2, patch_side=4)
     before = dumps_params(params)
-    groups = FitConfig().groups
-    theta = pack_params(params, groups)
-    out = apply_theta(params, groups, theta)
+    theta = pack_params(params, DEFAULT_GROUPS)
+    out = apply_theta(params, DEFAULT_GROUPS, theta)
     out.solver.gate_bypass = True
     out.solver.gate.patch_side = 2
     out.solver.mem_c.b_z = np.zeros(2)

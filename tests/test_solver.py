@@ -311,24 +311,27 @@ def test_run_channel_mismatch(rng):
         run(rng.normal(0.0, 1.0, (2, 8, 8)), params)
 
 
-def test_run_resumes_a_prefix(rng):
+def test_run_resumes_a_centre(rng):
     params = random_params(rng, 2, steps=3, patch_side=4, seed=8)
     dfield = rng.normal(0.0, 1.0, (2, 8, 8))
     full = run(dfield, params, keep_drafts=True)
     assert len(full.drafts) == 3 and run(dfield, params).drafts == ()
     for s in range(4):
-        prefix = solver.SolverRun(states=full.states[: s + 1], gates=full.gates[:s])
-        parts = (full.drafts[s], full.gates[s]) if s < 3 else ()
-        resumed = run(dfield, params, prefix, *parts)
-        assert all(a is b for a, b in zip(resumed.states[: s + 1], full.states))
-        for got, want in zip(resumed.states[s + 1 :], full.states[s + 1 :]):
-            assert all(np.array_equal(getattr(got, f), getattr(want, f))
-                       for f in ("c", "n", "mem_c", "mem_n"))
-    for states, gates in ((full.states[:2], ()), (full.states, full.gates[:2])):
-        with pytest.raises(ConfigError, match="prefix"):
-            run(dfield, params, solver.SolverRun(states=states, gates=gates))
-    with pytest.raises(ConfigError, match="prefix"):
-        run(dfield, random_params(rng, 2, steps=1, patch_side=4), full)
+        for same_drafts in (False, True):
+            for same_gate in (False, True):
+                resumed = run(dfield, params, full, (s, same_drafts, same_gate))
+                assert all(a is b for a, b in zip(resumed.states[: s + 1], full.states))
+                assert len(resumed.states) == len(full.states)
+                for got, want in zip(resumed.states[s + 1 :], full.states[s + 1 :]):
+                    assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                               for f in ("c", "n", "mem_c", "mem_n"))
+                assert all(np.array_equal(a, b) for a, b in zip(resumed.gates, full.gates))
+    for centre, reach in ((run(dfield, params), (1, True, True)), (full, (4, False, False)),
+                          (full, (-1, False, False))):
+        with pytest.raises(ConfigError, match="centre"):
+            run(dfield, params, centre, reach)
+    with pytest.raises(ConfigError, match="centre"):
+        run(dfield, random_params(rng, 2, steps=1, patch_side=4), full, (0, True, True))
 
 
 # ------------------------------------------------------------------ run diagnostics

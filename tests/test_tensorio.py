@@ -86,3 +86,25 @@ def test_rejects_non_finite_write(tmp_path):
     x[0, 0] = np.nan
     with pytest.raises(TensorFormatError):
         write_tensor(tmp_path / "nan.pufd", x)
+
+
+def test_rejects_scalar_write(tmp_path):
+    path = tmp_path / "scalar.pufd"
+    with pytest.raises(TensorFormatError, match="rank 0"):
+        write_tensor(path, 2.5)
+    assert not path.exists()
+
+
+def test_rejects_rank_zero_file(tmp_path):
+    # a well-formed rank-0 file: the header, no dimensions, one value
+    path = tmp_path / "scalar.pufd"
+    path.write_bytes(struct.pack("<4sHB", MAGIC, 1, 0) + struct.pack("<d", 2.5))
+    with pytest.raises(TensorFormatError, match="rank 0"):
+        read_tensor(path)
+
+
+def test_round_trip_non_contiguous(tmp_path, rng):
+    x = rng.normal(size=(3, 8, 6))[:, ::2, ::-1].transpose(0, 2, 1)
+    path = tmp_path / "view.pufd"
+    write_tensor(path, x)
+    assert np.array_equal(read_tensor(path), x)

@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .convergence import consistency_distance, contraction_report, scores_from_residuals
 from .core import ConfigError, frobenius_norm, parse_name_values, singular_values
-from .fit import FitConfig, FitResult, _selected_leaves, apply_theta, fit, pack_params
+from .fit import FitResult, _selected_leaves, apply_theta, fit, pack_params
 from .objective import LossReport, StageConfig, f1_score, nuisance_mean, separation, total_loss
 from .params import ModelParams, init_model_params, replace_leaves
 from .solver import SolverRun, init_state, predict, run, step
@@ -134,6 +134,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for key in ("step_size", "epsilon"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"config key {key!r} must be > 0, got {getattr(cfg, key)}")
+    # from 0.5 on, the BCE clip [epsilon, 1 - epsilon] is one point or inverted
+    if cfg.epsilon >= 0.5:
+        raise ConfigError(f"config key 'epsilon' must be < 0.5, got {cfg.epsilon}")
     for key in ("use_align", "use_gating", "use_staged", "memory_bypass"):
         if getattr(cfg, key) not in (0, 1):
             raise ConfigError(f"config key {key!r} must be 0 or 1, got {getattr(cfg, key)}")
@@ -285,9 +288,9 @@ def fit_on_batch(cfg: ExperimentConfig, model: ModelParams | None = None,
         stage = make_stage(cfg)
     groups = _fit_groups(cfg)
     report, coordinate_loss = _batch_objective(cfg, model, stage, groups)
-    fit_cfg = FitConfig(learning_rate=cfg.learning_rate, iterations=cfg.iterations,
-                        step_size=cfg.step_size)
-    theta, curve = fit(report, pack_params(model, groups), fit_cfg, coordinate_loss)
+    theta, curve = fit(report, pack_params(model, groups), iterations=cfg.iterations,
+                       learning_rate=cfg.learning_rate, step_size=cfg.step_size,
+                       coordinate_loss=coordinate_loss)
     return FitResult(params=apply_theta(model, groups, theta), theta=theta, curve=curve)
 
 

@@ -6,10 +6,11 @@ selected parameter groups enter the vector, everything else stays frozen, and
 a hard cap on the vector length keeps the scheme honest (it is meant for
 small bundles, not deep training).
 
-The gradient evaluates a coordinate loss, ``loss(theta, i, value)``: the loss
-at ``theta`` with entry ``i`` set to ``value``.  By default that is the loss
-of the whole moved vector; an objective that knows what one entry can change
-(``experiments.fit_on_batch``'s) may do less work for the same value.
+The gradient, :func:`fd_gradient`, evaluates a coordinate loss,
+``loss(theta, i, value)``: the loss at ``theta`` with entry ``i`` set to
+``value``.  By default a fit's is the loss of the whole moved vector; an
+objective that knows what one entry can change (``experiments.fit_on_batch``'s)
+may do less work for the same value.
 
 A fit on more than one CPU forks a process pool of one worker per CPU and
 shuts it down when it ends.  Each gradient is one coordinate per task, with
@@ -33,7 +34,6 @@ from .objective import LossReport
 from .params import LEAVES, ModelParams, replace_leaves
 
 __all__ = [
-    "FitConfig",
     "FitResult",
     "FitError",
     "FitDivergedError",
@@ -68,13 +68,6 @@ class FitError(NumericalError):
 
 class FitDivergedError(FitError):
     """An iteration increased the loss by more than the alarm factor."""
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    learning_rate: float = 0.05
-    iterations: int = 300
-    step_size: float = 1e-4          # finite-difference half-step
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ def _half_step(step_size) -> float:
 
 
 def _vector_loss(loss_fn):
-    """``loss_fn``, a function of the whole vector, as a coordinate loss."""
+    """``loss_fn``, a scalar function of the whole vector, as a coordinate loss."""
 
     def loss(theta, i: int, value):
         moved = theta.copy()
@@ -190,13 +183,18 @@ def _worker_count(size: int, iterations: int) -> int:
     return max(1, min(cpus, MAX_WORKERS, size))
 
 
-def _gradient(loss, theta: np.ndarray, h: float, pool):
+def fd_gradient(loss, theta, step_size: float = 1e-4, *, pool=None):
     """Central-difference gradient of the coordinate loss ``loss`` at ``theta``.
 
-    ``pool``, when given, was made for ``loss``; its results come in
-    coordinate order, so it raises the lowest failing coordinate's error, as
-    the serial loop does.
+    ``loss(theta, i, value)`` is the loss at ``theta`` with entry ``i`` set
+    to ``value``; :func:`_vector_loss` makes one of a scalar function of the
+    vector.  Raises :class:`FitError` naming the coordinate if an evaluation
+    is non-finite.  ``pool``, when given, is a :func:`_pool` made for
+    ``loss``; its results come in coordinate order, so it raises the lowest
+    failing coordinate's error, as the serial loop does.  Without it every
+    evaluation runs here.
     """
+    theta, h = np.asarray(theta, dtype=np.float64), _half_step(step_size)
     if pool is None:
         pairs = map(functools.partial(_fd_pair, loss, theta, h), range(theta.size))
     else:
@@ -207,22 +205,13 @@ def _gradient(loss, theta: np.ndarray, h: float, pool):
     return grad
 
 
-def fd_gradient(loss_fn, theta, step_size: float = 1e-4, *, pool=None):
-    """Central-difference gradient of a scalar function of a vector.
-
-    Raises :class:`FitError` naming the coordinate if an evaluation is
-    non-finite.  ``pool``, when given, is a :func:`_pool` made for
-    ``loss_fn`` as a coordinate loss; without it every evaluation runs here.
-    """
-    return _gradient(_vector_loss(loss_fn), np.asarray(theta, dtype=np.float64),
-                     _half_step(step_size), pool)
-
-
-def fit(report_fn, theta0, config: FitConfig = FitConfig(), coordinate_loss=None):
+def fit(report_fn, theta0, *, iterations: int, learning_rate: float = 0.05,
+        step_size: float = 1e-4, coordinate_loss=None):
     """Plain gradient descent on ``report_fn(theta).total``.
 
-    Returns (theta, curve of LossReports, one per recorded iterate).  The
-    gradient evaluates ``coordinate_loss(theta, i, value)``, the total at
+    Returns (theta, curve of LossReports, one per recorded iterate).  Each
+    iteration steps by ``-learning_rate`` times :func:`fd_gradient` (half-step
+    ``step_size``) of ``coordinate_loss(theta, i, value)``, the total at
     ``theta`` with entry ``i`` set to ``value``; by default that is
     ``report_fn`` of the moved vector.  A step that multiplies the loss by
     more than ``DIVERGENCE_FACTOR`` raises :class:`FitDivergedError` (the
@@ -237,17 +226,17 @@ def fit(report_fn, theta0, config: FitConfig = FitConfig(), coordinate_loss=None
     if coordinate_loss is None:
         coordinate_loss = _vector_loss(lambda th: report_fn(th).total)
 
-    h = _half_step(config.step_size)
+    _half_step(step_size)  # a bad step fails before any fork
     report = report_fn(theta)
     if not np.isfinite(report.total):
         raise FitError(f"initial loss is non-finite: {report.total}")
     curve = [report]
-    count = _worker_count(theta.size, int(config.iterations))
+    count = _worker_count(theta.size, int(iterations))
     pool = _pool(coordinate_loss, count) if count > 1 else None
     try:
-        for it in range(int(config.iterations)):
-            grad = _gradient(coordinate_loss, theta, h, pool)
-            theta = theta - config.learning_rate * grad
+        for it in range(int(iterations)):
+            grad = fd_gradient(coordinate_loss, theta, step_size, pool=pool)
+            theta = theta - learning_rate * grad
             report = report_fn(theta)
             if not np.isfinite(report.total):
                 raise FitError(f"non-finite loss after iteration {it}")

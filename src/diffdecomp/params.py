@@ -116,11 +116,16 @@ _SCALAR, _VECTOR, _SQUARE = (lambda *_: ()), (lambda d, *_: (d,)), (lambda d, *_
 
 # The reach rules (see Leaf).  Entry j of alpha, beta or gamma is read first
 # by step j.  Step 0 starts from C = 0, N = D: its drafts read only phi and
-# D, and its residual is exactly zero, so its gate (>= 0, which keeps the
-# sign of the zero it scales) cannot change state 1.
+# D, and its residual D - (0 + D) is exactly +0, so its injection (gate *
+# gamma_0 * psi @ residual) is a zero.  The gate (>= 0) keeps that zero's
+# sign; gamma_0 and psi can flip it, and no value of a later step or loss
+# depends on the sign of a zero.  So none of the three changes state 1:
+# gamma_0 changes no state, and psi is first read by step 1.
 _AT_STEP = lambda j, k: (j, True, True)
+_GAMMA = lambda j, k: (j or k, True, True)
 _STEP_0 = lambda j, k: (0, True, True)
 _DRAFTS_0 = lambda j, k: (0, False, True)
+_INJECTION = lambda j, k: (min(1, k), True, True)
 _GATE = lambda j, k: (min(1, k), True, False)
 _NO_STEP = lambda j, k: (k, False, False)
 _FIELD = lambda j, k: None
@@ -129,11 +134,11 @@ _FIELD = lambda j, k: None
 # groups, the fit's parameter packing and its resumed runs are all derived
 # from this tuple.
 LEAVES = (
-    *(Leaf(n, f"solver.{n}", "steps", lambda d, k, r: (k,), _AT_STEP)
-      for n in ("alpha", "beta", "gamma")),
+    *(Leaf(n, f"solver.{n}", "steps", lambda d, k, r: (k,), rule)
+      for n, rule in (("alpha", _AT_STEP), ("beta", _AT_STEP), ("gamma", _GAMMA))),
     Leaf("phi_c", "solver.phi_c", "coupling", lambda d, k, r: (d, 3 * d, 3, 3), _DRAFTS_0),
     Leaf("phi_n", "solver.phi_n", "coupling", lambda d, k, r: (d, 3 * d, 3, 3), _DRAFTS_0),
-    *(Leaf(n, f"solver.{n}", "injection", _SQUARE, _STEP_0) for n in ("psi_c", "psi_n")),
+    *(Leaf(n, f"solver.{n}", "injection", _SQUARE, _INJECTION) for n in ("psi_c", "psi_n")),
     *(
         Leaf(f"{cell}_w_{g}", f"solver.{cell}.w_{g}", "memory", lambda d, k, r: (d, 2 * d), _STEP_0)
         if w == "w"

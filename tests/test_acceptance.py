@@ -29,7 +29,7 @@ from diffdecomp.experiments import (
     fit_on_batch,
     make_spec,
 )
-from diffdecomp.fit import fd_gradient
+from diffdecomp.fit import _vector_loss, fd_gradient
 from diffdecomp.objective import (
     band_loss,
     bce_dice_loss,
@@ -429,14 +429,14 @@ def test_criterion_10_gradient_checks():
 
     worst = {"seg": 0.0, "rec": 0.0, "exp": 0.0, "con": 0.0}
     for name, fn, theta in cases:
-        central = fd_gradient(fn, theta, step_size=h)
+        central = fd_gradient(_vector_loss(fn), theta, step_size=h)
         forward = _forward_diff(fn, theta, h)
         scale = max(float(np.max(np.abs(central))), 1e-12)
         worst[name] = max(worst[name], float(np.max(np.abs(central - forward))) / scale)
     for name, dev in worst.items():
         assert dev < 1e-4, f"{name} scheme disagreement {dev:.2e}"
 
-    quad = fd_gradient(lambda t: float(t[0]) ** 2, np.array([3.0]))
+    quad = fd_gradient(_vector_loss(lambda t: float(t[0]) ** 2), np.array([3.0]))
     assert abs(quad[0] - 6.0) < 1e-6
     report(10, "gradient checks",
            "scheme agreement " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items())

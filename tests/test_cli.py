@@ -138,6 +138,18 @@ def test_zero_epsilon_is_config_error(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0.5", "0.6", "1", "2"])
+def test_epsilon_from_half_is_config_error(capsys, tmp_path, epsilon):
+    # The BCE clip [epsilon, 1 - epsilon] is one point or inverted; from 1 on, its logs warn.
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text(TINY_CFG + f"epsilon = {epsilon}\n")
+    out = tmp_path / "m"
+    assert main(["fit", "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config key 'epsilon' must be < 0.5, got {float(epsilon)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv", [["gen", "--seed", "-1"], ["fit", "--seed", "-5"], ["check", "--seed", "-1"]]
 )
@@ -242,7 +254,7 @@ def test_dead_pool_worker_is_one_error_line(capsys, tmp_path, tiny_cfg, monkeypa
         return LossReport(seg=0.0, rec=0.0, exp=0.0, con=0.0, ssec=0.0, total=float(th @ th))
 
     def dying_fit(cfg):
-        return fit.fit(report_fn, np.ones(6), fit.FitConfig(iterations=3))
+        return fit.fit(report_fn, np.ones(6), iterations=3)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(fit, "MIN_FORK_EVALUATIONS", 0)

@@ -31,7 +31,7 @@ from diffdecomp.experiments import (
     sensitivity_rows,
     sve_prior_rows,
 )
-from diffdecomp.fit import FitConfig, apply_theta, fit, pack_params
+from diffdecomp.fit import apply_theta, fit, pack_params
 from diffdecomp.objective import nuisance_mean, separation
 from diffdecomp.params import LEAVES, dumps_params
 from diffdecomp.sve import group_means, patch_entropies
@@ -222,9 +222,8 @@ def test_fit_on_batch_fields_match_per_evaluation(monkeypatch, groups):
         reports = [evaluate_instance(bundle, item, cfg, stage)[1] for item in batch]
         return experiments._mean_report(reports)
 
-    fit_cfg = FitConfig(learning_rate=cfg.learning_rate, iterations=cfg.iterations,
-                        step_size=cfg.step_size)
-    theta, curve = fit(batch_report, pack_params(model, names), fit_cfg)
+    theta, curve = fit(batch_report, pack_params(model, names), iterations=cfg.iterations,
+                       learning_rate=cfg.learning_rate, step_size=cfg.step_size)
     assert dumps_params(result.params) == dumps_params(apply_theta(model, names, theta))
     assert result.curve == curve
 

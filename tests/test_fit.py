@@ -17,7 +17,6 @@ from diffdecomp.core import ConfigError, NumericalError
 from diffdecomp import experiments, solver
 from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model, make_stage
 from diffdecomp.fit import (
-    FitConfig,
     FitDivergedError,
     FitError,
     _pool,
@@ -41,32 +40,32 @@ def report_of(total):
 
 
 def test_fd_gradient_quadratic():
-    grad = fd_gradient(lambda th: float(th[0] ** 2), np.array([3.0]))
+    grad = fd_gradient(_vector_loss(lambda th: float(th[0] ** 2)), np.array([3.0]))
     assert abs(grad[0] - 6.0) < 1e-6
 
 
 def test_fd_gradient_abs_away_from_kink():
-    grad = fd_gradient(lambda th: float(abs(th[0])), np.array([2.0]))
+    grad = fd_gradient(_vector_loss(lambda th: float(abs(th[0]))), np.array([2.0]))
     assert abs(grad[0] - 1.0) < 1e-8
 
 
 def test_fd_gradient_exact_for_linear(rng):
     a = rng.normal(0.0, 2.0, 6)
     theta = rng.normal(0.0, 1.0, 6)
-    grad = fd_gradient(lambda th: float(a @ th) + 4.0, theta)
+    grad = fd_gradient(_vector_loss(lambda th: float(a @ th) + 4.0), theta)
     assert np.max(np.abs(grad - a)) < 1e-10
 
 
 def test_fd_gradient_vector_quadratic(rng):
     a = rng.uniform(0.5, 2.0, 5)
     theta = rng.normal(0.0, 1.0, 5)
-    grad = fd_gradient(lambda th: float(np.sum(a * th * th)), theta)
+    grad = fd_gradient(_vector_loss(lambda th: float(np.sum(a * th * th))), theta)
     assert np.max(np.abs(grad - 2.0 * a * theta)) < 1e-6
 
 
 def test_fd_gradient_rejects_bad_step():
     with pytest.raises(ConfigError):
-        fd_gradient(lambda th: 0.0, np.zeros(2), step_size=0.0)
+        fd_gradient(_vector_loss(lambda th: 0.0), np.zeros(2), step_size=0.0)
 
 
 def test_fd_gradient_names_bad_coordinate():
@@ -74,7 +73,7 @@ def test_fd_gradient_names_bad_coordinate():
         return float("nan") if th[1] > 0.5 else 0.0
 
     with pytest.raises(FitError, match="coordinate 1"):
-        fd_gradient(loss, np.array([0.0, 0.5]))
+        fd_gradient(_vector_loss(loss), np.array([0.0, 0.5]))
 
 
 # ------------------------------------------------------------------ descent loop
@@ -82,7 +81,7 @@ def test_fd_gradient_names_bad_coordinate():
 
 def test_zero_iterations_keeps_theta():
     theta0 = np.array([1.0, -2.0])
-    theta, curve = fit(lambda th: report_of(np.sum(th**2)), theta0, FitConfig(iterations=0))
+    theta, curve = fit(lambda th: report_of(np.sum(th**2)), theta0, iterations=0)
     assert np.array_equal(theta, theta0)
     assert len(curve) == 1
 
@@ -91,7 +90,7 @@ def test_quadratic_surrogate_converges():
     theta, curve = fit(
         lambda th: report_of((th[0] - 2.0) ** 2),
         np.array([0.0]),
-        FitConfig(learning_rate=0.05, iterations=120),
+        learning_rate=0.05, iterations=120,
     )
     assert abs(theta[0] - 2.0) < 1e-3
     totals = [r.total for r in curve]
@@ -104,24 +103,24 @@ def test_divergence_alarm():
         fit(
             lambda th: report_of(1.0 + (100.0 * th[0]) ** 2),
             np.array([0.01]),
-            FitConfig(learning_rate=0.05, iterations=3),
+            learning_rate=0.05, iterations=3,
         )
 
 
 def test_parameter_cap_enforced():
     with pytest.raises(ConfigError, match="cap"):
-        fit(lambda th: report_of(0.0), np.zeros(2001), FitConfig(iterations=0))
+        fit(lambda th: report_of(0.0), np.zeros(2001), iterations=0)
 
 
 def test_initial_non_finite_rejected():
     with pytest.raises(FitError):
-        fit(lambda th: report_of(float("inf")), np.zeros(2), FitConfig(iterations=0))
+        fit(lambda th: report_of(float("inf")), np.zeros(2), iterations=0)
 
 
 def test_curves_are_reproducible():
-    cfg = FitConfig(learning_rate=0.1, iterations=15)
-    run1 = fit(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), cfg)
-    run2 = fit(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), cfg)
+    cfg = dict(learning_rate=0.1, iterations=15)
+    run1 = fit(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), **cfg)
+    run2 = fit(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), **cfg)
     assert np.array_equal(run1[0], run2[0])
     assert [r.total for r in run1[1]] == [r.total for r in run2[1]]
 
@@ -170,7 +169,8 @@ def test_forked_fd_gradient_matches_serial(rng):
     def loss(th):
         return float(np.sum(a * th * th) + np.sum(np.sin(th)))
 
-    with _pool(_vector_loss(loss), 3) as pool:
+    loss = _vector_loss(loss)
+    with _pool(loss, 3) as pool:
         forked = fd_gradient(loss, theta, 1e-4, pool=pool)
         again = fd_gradient(loss, theta + 0.5, 1e-4, pool=pool)
     assert np.array_equal(forked, fd_gradient(loss, theta))
@@ -197,8 +197,8 @@ def test_busy_helper_takes_fewer_coordinates(tmp_path):
                 f.write("slow\n")
         return float(np.sum(np.cos(th)))
 
-    theta = np.linspace(-1.0, 1.0, 12)
-    with _pool(_vector_loss(loss), 2) as pool:
+    theta, loss = np.linspace(-1.0, 1.0, 12), _vector_loss(loss)
+    with _pool(loss, 2) as pool:
         forked = fd_gradient(loss, theta, 1e-4, pool=pool)
     assert 0 < len(log.read_text(encoding="utf-8").split()) < theta.size
     assert np.array_equal(forked, fd_gradient(loss, theta))
@@ -214,7 +214,8 @@ def test_workers_ignore_interrupts(tmp_path):
                 f.write(f"{signal.getsignal(signal.SIGINT)!r}\n")
         return float(np.sum(th**2))
 
-    with _pool(_vector_loss(loss), 2) as pool:
+    loss = _vector_loss(loss)
+    with _pool(loss, 2) as pool:
         fd_gradient(loss, np.zeros(4), 1e-4, pool=pool)
     assert log.read_text(encoding="utf-8").splitlines() == [repr(signal.SIG_IGN)] * 8
     assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
@@ -226,11 +227,11 @@ def test_forked_fit_matches_serial(monkeypatch, forks):
     def report_fn(th):
         return report_of(np.sum(a * (th - 1.0) ** 2) + np.sum(np.sin(th)))
 
-    cfg = FitConfig(learning_rate=0.1, iterations=5)
-    serial = with_cpus(monkeypatch, 1, lambda: fit(report_fn, np.zeros(7), cfg))
+    cfg = dict(learning_rate=0.1, iterations=5)
+    serial = with_cpus(monkeypatch, 1, lambda: fit(report_fn, np.zeros(7), **cfg))
     assert forks == []
     threads = threading.active_count()
-    forked = with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.zeros(7), cfg))
+    forked = with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.zeros(7), **cfg))
     assert len(forks) == 3
     assert_reaped(forks, threads)
     assert np.array_equal(serial[0], forked[0])
@@ -265,10 +266,10 @@ def test_forked_resumed_gradient_matches_serial():
 
     theta = pack_params(model, DEFAULT_GROUPS)
     with _pool(loss, 2) as pool:
-        forked = [fd_gradient(total, th, 1e-4, pool=pool) for th in (theta, theta + 0.5)]
+        forked = [fd_gradient(loss, th, 1e-4, pool=pool) for th in (theta, theta + 0.5)]
     for grad, th in zip(forked, (theta, theta + 0.5)):
-        assert np.array_equal(grad, fd_gradient(total, th, 1e-4))
-        assert np.array_equal(grad, fit_module._gradient(loss, th, 1e-4, None))
+        assert np.array_equal(grad, fd_gradient(loss, th, 1e-4))
+        assert np.array_equal(grad, fd_gradient(_vector_loss(total), th, 1e-4))
 
 
 @pytest.fixture
@@ -300,11 +301,30 @@ def test_forked_fit_builds_one_centre_per_theta_here(monkeypatch, forks, centre_
     assert centre_builds == [os.getpid()] * (SMALL.iterations + 1) * SMALL.instances
 
 
-# The README's table of where a moved entry's run resumes, for the default
-# groups: group -> (first state kept, of entry j at depth K; the run reuses
-# that step's drafts; it reuses that step's gate).
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fit_takes_each_gradient_through_fd_gradient(monkeypatch, forks, cpus):
+    # The benchmark's tracer counts gradients by wrapping fit.fd_gradient.
+    calls = []
+    real = fit_module.fd_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "fd_gradient", counted)
+    with_cpus(monkeypatch, cpus, lambda: fit_on_batch(SMALL))
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    assert calls == [os.getpid()] * SMALL.iterations
+
+
+# The README's table of where a moved entry's run resumes, for the groups
+# counted below: leaf key or group -> (first state kept, of entry j at depth
+# K; the run reuses that step's drafts; it reuses that step's gate).
 RESUME_TABLE = {
-    "steps": (lambda j, k: j, True, True),
+    "alpha": (lambda j, k: j, True, True),
+    "beta": (lambda j, k: j, True, True),
+    "gamma": (lambda j, k: j or k, True, True),
+    "injection": (lambda j, k: min(1, k), True, True),
     "gate": (lambda j, k: min(1, k), True, False),
     "head": (lambda j, k: k, False, False),
     "memory_bias": (lambda j, k: 0, True, True),
@@ -314,7 +334,6 @@ RESUME_TABLE = {
 def test_fit_iteration_work_follows_the_resume_table(monkeypatch, forks):
     # Lost reuse keeps every bit, so the work itself is counted: solver
     # steps, convs, gate maps, and whole runs (those that resume nothing).
-    cfg = ExperimentConfig(instances=2, iterations=1)
     counts = dict.fromkeys(("step", "conv3x3_reflect", "gate_map", "whole runs"), 0)
 
     def counting(module, name, key):
@@ -330,24 +349,29 @@ def test_fit_iteration_work_follows_the_resume_table(monkeypatch, forks):
     for name in ("step", "conv3x3_reflect", "gate_map"):
         counting(solver, name, name)
     counting(experiments, "run", "whole runs")
-    with_cpus(monkeypatch, 1, lambda: fit_on_batch(cfg))
-    assert forks == []
+    # groups -> steps, convs and gate maps per item
+    for groups, per_item in ((ExperimentConfig().groups, (188, 120, 124)),
+                             ("injection", (134, 70, 70))):
+        cfg = ExperimentConfig(instances=2, iterations=1, groups=groups)
+        counts.update(dict.fromkeys(counts, 0))
+        with_cpus(monkeypatch, 1, lambda: fit_on_batch(cfg))
+        assert forks == []
 
-    k, moved = cfg.steps, {"step": 0, "conv3x3_reflect": 0, "gate_map": 0}
-    assert tuple(RESUME_TABLE) == DEFAULT_GROUPS
-    for leaf in LEAVES:
-        if leaf.group in RESUME_TABLE:
-            first, same_drafts, same_gate = RESUME_TABLE[leaf.group]
-            for j in range(math.prod(leaf.shape(cfg.channels, k, cfg.reduced_channels))):
-                made = k - first(j, k)  # steps of each of the entry's two runs
-                moved["step"] += 2 * made
-                moved["conv3x3_reflect"] += 2 * (made - (same_drafts and made > 0))
-                moved["gate_map"] += 2 * (made - (same_gate and made > 0))
-    whole = cfg.iterations + 1  # one centre per theta; the report reads it
-    want = {name: cfg.iterations * n + whole * k for name, n in moved.items()}
-    want["whole runs"] = whole
-    assert want == {"step": 194, "conv3x3_reflect": 124, "gate_map": 128, "whole runs": 2}
-    assert counts == {name: n * cfg.instances for name, n in want.items()}
+        k, moved = cfg.steps, {"step": 0, "conv3x3_reflect": 0, "gate_map": 0}
+        for leaf in LEAVES:
+            if leaf.group in groups.split(","):
+                rule = RESUME_TABLE.get(leaf.key) or RESUME_TABLE[leaf.group]
+                first, same_drafts, same_gate = rule
+                for j in range(math.prod(leaf.shape(cfg.channels, k, cfg.reduced_channels))):
+                    made = k - first(j, k)  # steps of each of the entry's two runs
+                    moved["step"] += 2 * made
+                    moved["conv3x3_reflect"] += 2 * (made - (same_drafts and made > 0))
+                    moved["gate_map"] += 2 * (made - (same_gate and made > 0))
+        whole = cfg.iterations + 1  # one centre per theta; the report reads it
+        want = {name: cfg.iterations * n + whole * k for name, n in moved.items()}
+        want["whole runs"] = whole
+        assert want == dict(zip(counts, (*per_item, 2)))
+        assert counts == {name: n * cfg.instances for name, n in want.items()}
 
 
 # Six coordinates that three workers take from one queue in any split.
@@ -357,7 +381,7 @@ def test_forked_fit_names_lowest_bad_coordinate(monkeypatch, forks, bad):
         return report_of(float("nan") if np.any(th[list(bad)] != 0.0) else np.sum(th**2))
 
     def run():
-        return fit(report_fn, np.zeros(6), FitConfig(iterations=1))
+        return fit(report_fn, np.zeros(6), iterations=1)
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
     threads = threading.active_count()
@@ -377,7 +401,7 @@ def test_forked_fit_passes_loss_errors_on(monkeypatch, forks, error):
         return report_of(np.sum((th - 2.0) ** 2))
 
     def run():
-        return fit(report_fn, np.zeros(6), FitConfig(learning_rate=0.1, iterations=5))
+        return fit(report_fn, np.zeros(6), learning_rate=0.1, iterations=5)
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
     forked = with_cpus(monkeypatch, 3, lambda: raised(run))
@@ -391,7 +415,7 @@ def test_forked_fit_divergence_alarm(monkeypatch, forks):
         return fit(
             lambda th: report_of(1.0 + np.sum((100.0 * th) ** 2)),
             np.full(4, 0.01),
-            FitConfig(learning_rate=0.05, iterations=3),
+            learning_rate=0.05, iterations=3,
         )
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
@@ -402,22 +426,21 @@ def test_forked_fit_divergence_alarm(monkeypatch, forks):
 
 @pytest.mark.parametrize("cpus, size, iterations", [(1, 6, 3), (4, 6, 0), (4, 1, 3), (4, 0, 3)])
 def test_fit_forks_nothing_without_shares(monkeypatch, forks, cpus, size, iterations):
-    cfg = FitConfig(learning_rate=0.1, iterations=iterations)
-    with_cpus(monkeypatch, cpus, lambda: fit(squares, np.ones(size), cfg))
+    with_cpus(monkeypatch, cpus,
+              lambda: fit(squares, np.ones(size), learning_rate=0.1, iterations=iterations))
     assert forks == []
 
 
 def test_short_fit_forks_nothing(monkeypatch, forks):
     # 2 * 6 parameters * 3 iterations = 36 loss evaluations
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    fit(squares, np.ones(6), FitConfig(learning_rate=0.1, iterations=3))
+    fit(squares, np.ones(6), learning_rate=0.1, iterations=3)
     assert forks == []
 
 
 def test_fit_rejects_bad_step_before_forking(monkeypatch, forks):
-    cfg = FitConfig(iterations=3, step_size=0.0)
     with pytest.raises(ConfigError, match="step_size"):
-        with_cpus(monkeypatch, 4, lambda: fit(squares, np.ones(6), cfg))
+        with_cpus(monkeypatch, 4, lambda: fit(squares, np.ones(6), iterations=3, step_size=0.0))
     assert forks == []
 
 
@@ -456,7 +479,7 @@ def test_helper_death_raises_and_leaves_no_child(monkeypatch, forks):
 
     threads = threading.active_count()
     with deadline(60), pytest.raises(ChildProcessError, match="terminated abruptly"):
-        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
+        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), iterations=3))
     assert_reaped(forks, threads)
 
 
@@ -473,7 +496,7 @@ def test_interrupt_propagates_and_leaves_no_child(monkeypatch, forks):
 
     threads = threading.active_count()
     with deadline(60), pytest.raises(KeyboardInterrupt):
-        with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
+        with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.ones(6), iterations=3))
     assert_reaped(forks, threads)
 
 
@@ -492,7 +515,7 @@ def test_interrupt_during_gradient_leaves_no_child(monkeypatch, forks, tmp_path)
 
     threads = threading.active_count()
     with deadline(60), pytest.raises(KeyboardInterrupt):
-        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), FitConfig(iterations=3)))
+        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), iterations=3))
     assert marker.exists()
     assert_reaped(forks, threads)
 

@@ -46,7 +46,8 @@ groups = steps
 k_max = 2
 """,
     # P = 26 and 2·P·iterations = 156 loss evaluations: on more than one CPU
-    # every fit here forks
+    # `fit` forks for its gradients, and each sweep forks for its variants,
+    # whose fits then run serially in the workers
     "forking": """\
 channels = 2
 height = 16

@@ -20,11 +20,13 @@ from . import rng
 from .convergence import consistency_distance, contraction_report, scores_from_residuals
 from .core import ConfigError, frobenius_norm, parse_name_values, singular_values
 from .fit import FitResult, _selected_leaves, apply_theta, fit, pack_params
+from .fit import _forked, _worker_call, _worker_count  # the sweeps' fork helper
 from .objective import LossReport, StageConfig, f1_score, nuisance_mean, separation, total_loss
 from .params import ModelParams, init_model_params, replace_leaves
 from .solver import SolverRun, init_state, predict, run, step
 from .sve import group_means, patch_entropies
 from .synth import BitemporalPair, SynthInstance, SynthSpec, gen_bitemporal, gen_instance
+from .synth import check_spec
 from .wavelet import AlignParams, align_subbands, dwt2_haar, idwt2_haar, suppress_pair
 
 __all__ = [
@@ -462,13 +464,15 @@ def replay_rows(scores):
     return list(_CONTRACTION_COLUMNS), _report_rows("replay", contraction_report(scores))
 
 
-def _fit_and_score(cfg: ExperimentConfig, fit: bool = True) -> dict:
+def _fit_and_score(cfg: ExperimentConfig, fit: bool, model: ModelParams) -> dict:
     """Means over the eval seeds of the fitted bundle's scores (with ``fit=False``, the initial's).
 
-    ``sve_gap`` is the mean changed-minus-unchanged SVE of the final change
-    estimates, over the seeds whose two patch groups are both non-empty.
+    ``model`` is the initial bundle, ``make_model(cfg)``.  ``sve_gap`` is the
+    mean changed-minus-unchanged SVE of the final change estimates, over the
+    seeds whose two patch groups are both non-empty.
     """
-    model = fit_on_batch(cfg).params if fit else make_model(cfg)
+    if fit:
+        model = fit_on_batch(cfg, model).params
     stage = make_stage(cfg)
     losses, f1s, mus, seps, gaps = [], [], [], [], []
     for item in _eval_items(cfg):
@@ -493,9 +497,31 @@ def _fit_and_score(cfg: ExperimentConfig, fit: bool = True) -> dict:
 
 
 def _score_variants(variants):
-    """``_fit_and_score`` of each ``(config, fit)`` variant, fitting each distinct one once."""
-    scores = {variant: _fit_and_score(*variant) for variant in dict.fromkeys(variants)}
-    return [scores[variant] for variant in variants]
+    """``_fit_and_score`` of each ``(config, fit)`` variant, fitting each distinct one once.
+
+    Each distinct variant's spec is checked and its initial bundle built
+    here, so a bad config fails before any fork.  The distinct variants are
+    mapped over processes forked here when their fits make at least
+    ``fit.MIN_FORK_EVALUATIONS`` loss evaluations in all (2·P·iterations
+    each); the fits inside a worker are serial.  Either way every score has
+    the same bits.
+    """
+    distinct = list(dict.fromkeys(variants))
+    models = []
+    for cfg, _fit in distinct:
+        check_spec(make_spec(cfg, cfg.seed))
+        models.append(make_model(cfg))
+    evaluations = sum(2 * pack_params(model, _fit_groups(cfg)).size * cfg.iterations
+                      for (cfg, fitted), model in zip(distinct, models) if fitted)
+
+    def score(i: int) -> dict:
+        return _fit_and_score(*distinct[i], models[i])
+
+    indices = range(len(distinct))
+    with _forked(score, _worker_count(evaluations, len(distinct))) as pool:
+        scores = list(map(score, indices) if pool is None else pool.map(_worker_call, indices))
+    by_variant = dict(zip(distinct, scores))
+    return [by_variant[variant] for variant in variants]
 
 
 def ablation_rows(cfg: ExperimentConfig):

@@ -12,16 +12,21 @@ The gradient, :func:`fd_gradient`, evaluates a coordinate loss,
 objective that knows what one entry can change (``experiments.fit_on_batch``'s)
 may do less work for the same value.
 
-A fit on more than one CPU forks a process pool of one worker per CPU and
-shuts it down when it ends.  Each gradient is one coordinate per task, with
-the results in coordinate order; every evaluation is the same arithmetic in a
-copy of the same process, so the gradient has the same bits as the serial
-loop's.  A dead worker raises ``ChildProcessError``, and workers ignore
-SIGINT.  With one CPU, or in a short fit, nothing is forked.
+Work on more than one CPU goes to one fork helper, :func:`_forked`: a pool
+of processes forked here, one per CPU, shut down and reaped when the work
+ends.  A fit shares each gradient among them, one coordinate per task; a
+sweep (``experiments._score_variants``) maps its variants over them, one
+fit per task, and the fits in a worker are serial, so no process tree holds
+more than ``MAX_WORKERS`` workers.  Results come back in task order, and each
+task is the same arithmetic in a copy of the same process, so every result
+has the same bits as the serial loop's and a failure raises the first
+failing task's error.  A dead worker raises ``ChildProcessError``, and
+workers ignore SIGINT.  With one CPU, or for short work, nothing is forked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -48,10 +53,11 @@ __all__ = [
 MAX_PARAMETERS = 2000
 # a step that multiplies the loss by more than this raises FitDivergedError
 DIVERGENCE_FACTOR = 10.0
-# the most worker processes that share a gradient
+# the most worker processes that share a gradient or a sweep
 MAX_WORKERS = 4
-# A fit with fewer loss evaluations than this (2 * P * iterations) forks no
-# workers: it would pay the fork and the workers' copy-on-write warm-up for
+# Work of fewer loss evaluations than this forks no workers: 2 * P *
+# iterations for a fit, their sum over the distinct fitted variants for a
+# sweep.  It would pay the fork and the workers' copy-on-write warm-up for
 # little work, and its time would follow the load on the other CPUs.
 MIN_FORK_EVALUATIONS = 100
 
@@ -146,41 +152,62 @@ def _fd_pair(loss, theta, h: float, i: int):
     return f_up, f_down
 
 
-# the coordinate loss a pool worker evaluates, set in each worker when it starts
-_worker_loss = None
+# In a pool worker: the task it runs, set when it starts; and that it forks nothing.
+_worker_task = None
+_in_worker = False
 
 
-def _start_worker(loss_fn) -> None:
-    """Keep ``loss_fn``, inherited by the fork; Ctrl-C is the fit process's to handle."""
+def _start_worker(task) -> None:
+    """Keep ``task``, inherited by the fork; Ctrl-C is the parent's to handle."""
     import signal
 
-    global _worker_loss
+    global _worker_task, _in_worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_loss = loss_fn
+    _worker_task, _in_worker = task, True
+
+
+def _worker_call(*args):
+    """The worker's task on ``args``, in a pool worker."""
+    return _worker_task(*args)
 
 
 def _worker_pair(theta, h: float, i: int):
-    """One coordinate's pair, evaluated in a pool worker."""
-    return _fd_pair(_worker_loss, theta, h, i)
+    """One coordinate's pair of the worker's coordinate loss, in a pool worker."""
+    return _fd_pair(_worker_task, theta, h, i)
 
 
-def _pool(loss_fn, count: int):
-    """``count`` forked processes that evaluate the coordinate loss ``loss_fn``."""
-    import concurrent.futures  # here, so that a process that never forks skips it
-    import multiprocessing
+@contextlib.contextmanager
+def _forked(task, count: int):
+    """A pool of ``count`` processes forked here that run ``task``; None if ``count`` < 2.
+
+    Each worker ignores SIGINT and forks nothing (:func:`_worker_count`).  A
+    worker that dies makes the block raise ``ChildProcessError``, chained from
+    the pool's ``BrokenProcessPool``.  Every worker is reaped before the block
+    returns or raises.
+    """
+    if count < 2:
+        yield None
+        return
+    import multiprocessing  # here, so that a process that never forks skips them
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     fork = multiprocessing.get_context("fork")
-    return concurrent.futures.ProcessPoolExecutor(
-        count, mp_context=fork, initializer=_start_worker, initargs=(loss_fn,)
-    )
+    pool = ProcessPoolExecutor(count, mp_context=fork, initializer=_start_worker, initargs=(task,))
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _worker_count(size: int, iterations: int) -> int:
-    if iterations < 1 or 2 * size * iterations < MIN_FORK_EVALUATIONS:
+def _worker_count(evaluations: int, tasks: int) -> int:
+    """Processes for ``tasks`` tasks that make ``evaluations`` loss evaluations in all."""
+    if _in_worker or evaluations < max(1, MIN_FORK_EVALUATIONS):
         return 1
-    # without a CPU set to read (not Linux), the whole gradient runs here
+    # without a CPU set to read (not Linux), every task runs here
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, MAX_WORKERS, size))
+    return max(1, min(cpus, MAX_WORKERS, tasks))
 
 
 def fd_gradient(loss, theta, step_size: float = 1e-4, *, pool=None):
@@ -189,7 +216,7 @@ def fd_gradient(loss, theta, step_size: float = 1e-4, *, pool=None):
     ``loss(theta, i, value)`` is the loss at ``theta`` with entry ``i`` set
     to ``value``; :func:`_vector_loss` makes one of a scalar function of the
     vector.  Raises :class:`FitError` naming the coordinate if an evaluation
-    is non-finite.  ``pool``, when given, is a :func:`_pool` made for
+    is non-finite.  ``pool``, when given, is a :func:`_forked` pool made for
     ``loss``; its results come in coordinate order, so it raises the lowest
     failing coordinate's error, as the serial loop does.  Without it every
     evaluation runs here.
@@ -215,10 +242,10 @@ def fit(report_fn, theta0, *, iterations: int, learning_rate: float = 0.05,
     ``theta`` with entry ``i`` set to ``value``; by default that is
     ``report_fn`` of the moved vector.  A step that multiplies the loss by
     more than ``DIVERGENCE_FACTOR`` raises :class:`FitDivergedError` (the
-    divergence alarm).  When this process may use more than one CPU and the
-    fit makes at least ``MIN_FORK_EVALUATIONS`` loss evaluations, a pool of
-    processes forked here evaluates each gradient; they are reaped before
-    this returns or raises.
+    divergence alarm).  When this process may use more than one CPU, is not
+    itself a pool worker, and the fit makes at least ``MIN_FORK_EVALUATIONS``
+    loss evaluations, a pool of processes forked here evaluates each
+    gradient; they are reaped before this returns or raises.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     if theta.size > MAX_PARAMETERS:
@@ -231,9 +258,8 @@ def fit(report_fn, theta0, *, iterations: int, learning_rate: float = 0.05,
     if not np.isfinite(report.total):
         raise FitError(f"initial loss is non-finite: {report.total}")
     curve = [report]
-    count = _worker_count(theta.size, int(iterations))
-    pool = _pool(coordinate_loss, count) if count > 1 else None
-    try:
+    count = _worker_count(2 * theta.size * int(iterations), theta.size)
+    with _forked(coordinate_loss, count) as pool:
         for it in range(int(iterations)):
             grad = fd_gradient(coordinate_loss, theta, step_size, pool=pool)
             theta = theta - learning_rate * grad
@@ -246,16 +272,4 @@ def fit(report_fn, theta0, *, iterations: int, learning_rate: float = 0.05,
                     f"iteration {it}: loss rose from {previous:.6g} to {report.total:.6g}"
                 )
             curve.append(report)
-    except RuntimeError as exc:
-        if pool is None:
-            raise
-        from concurrent.futures.process import BrokenProcessPool  # loaded with the pool
-
-        if not isinstance(exc, BrokenProcessPool):
-            raise
-        raise ChildProcessError(str(exc)) from exc
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return theta, tuple(curve)
-

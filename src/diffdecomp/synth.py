@@ -17,7 +17,14 @@ import numpy as np
 from . import rng
 from .core import ConfigError, _patch_grid, patch_tiles
 
-__all__ = ["SynthSpec", "SynthInstance", "BitemporalPair", "gen_instance", "gen_bitemporal"]
+__all__ = [
+    "SynthSpec",
+    "SynthInstance",
+    "BitemporalPair",
+    "check_spec",
+    "gen_instance",
+    "gen_bitemporal",
+]
 
 # per-tensor stream addresses
 STREAM_TEXTURE = 1
@@ -68,8 +75,17 @@ class BitemporalPair:
     unchanged_patches: tuple
 
 
-def _labels_plane(spec: SynthSpec) -> np.ndarray:
-    labels = np.zeros((spec.height, spec.width), dtype=np.float64)
+def check_spec(spec: SynthSpec) -> None:
+    """Raise ConfigError unless ``spec`` can be drawn.
+
+    It needs a channel, non-negative amplitudes, a grid that its patch side
+    tiles, and non-empty (row, col, height, width) rectangles inside the grid.
+    """
+    if spec.channels < 1:
+        raise ConfigError(f"channels must be positive, got {spec.channels}")
+    if spec.noise_sigma < 0 or spec.change_amplitude < 0 or spec.nuisance_amplitude < 0:
+        raise ConfigError("amplitudes must be non-negative")
+    _patch_grid(spec.height, spec.width, spec.patch_side)
     for rect in spec.rectangles:
         if len(rect) != 4:
             raise ConfigError(f"rectangle {rect!r} is not (row, col, height, width)")
@@ -78,6 +94,12 @@ def _labels_plane(spec: SynthSpec) -> np.ndarray:
             raise ConfigError(f"rectangle {rect!r} is empty")
         if r0 < 0 or c0 < 0 or r0 + hh > spec.height or c0 + ww > spec.width:
             raise ConfigError(f"rectangle {rect!r} exceeds the {spec.height}x{spec.width} grid")
+
+
+def _labels_plane(spec: SynthSpec) -> np.ndarray:
+    labels = np.zeros((spec.height, spec.width), dtype=np.float64)
+    for rect in spec.rectangles:
+        r0, c0, hh, ww = (int(v) for v in rect)
         labels[r0 : r0 + hh, c0 : c0 + ww] = 1.0
     return labels
 
@@ -109,11 +131,7 @@ def _draw(spec: SynthSpec):
     identical across channels) * nuisance_amplitude, plus i.i.d. noise *
     noise_sigma.
     """
-    if spec.channels < 1:
-        raise ConfigError(f"channels must be positive, got {spec.channels}")
-    if spec.noise_sigma < 0 or spec.change_amplitude < 0 or spec.nuisance_amplitude < 0:
-        raise ConfigError("amplitudes must be non-negative")
-    _patch_grid(spec.height, spec.width, spec.patch_side)  # a bad grid fails before any draw
+    check_spec(spec)  # a bad spec fails before any draw
     labels = _labels_plane(spec)
     shape = (spec.channels, spec.height, spec.width)
     texture = spec.change_amplitude * rng.normals(spec.seed, STREAM_TEXTURE, shape)

@@ -19,6 +19,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes os.fork makes in this process while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Every test ends with no child process of the test process left, not even a zombie."""

@@ -1,9 +1,13 @@
 """Command-line tool: exit codes, file outputs, byte-identical reruns."""
 
+import contextlib
 import os
+import signal
+import threading
 
 import numpy as np
 import pytest
+from test_fit import assert_reaped, deadline, with_cpus
 
 from diffdecomp import experiments
 from diffdecomp.cli import main
@@ -242,8 +246,10 @@ def test_interrupt_exits_130(capsys, tmp_path, tiny_cfg, monkeypatch):
     assert not out.exists()
 
 
-def test_dead_pool_worker_is_one_error_line(capsys, tmp_path, tiny_cfg, monkeypatch):
-    # The fit forks a pool of two workers, and each exits as it takes a task.
+@pytest.mark.parametrize("command", ["fit", "ablation"])
+def test_dead_pool_worker_is_one_error_line(capsys, tmp_path, monkeypatch, forks, command):
+    # The command forks a pool of two workers, and each exits as it takes a
+    # task: a fit's coordinate, or a sweep's variant.
     from diffdecomp import cli, fit
 
     me = os.getpid()
@@ -253,17 +259,106 @@ def test_dead_pool_worker_is_one_error_line(capsys, tmp_path, tiny_cfg, monkeypa
             os._exit(3)
         return LossReport(seg=0.0, rec=0.0, exp=0.0, con=0.0, ssec=0.0, total=float(th @ th))
 
-    def dying_fit(cfg):
+    def dying_fit(cfg, *args):
+        if os.getpid() != me:  # a sweep's worker
+            os._exit(3)
         return fit.fit(report_fn, np.ones(6), iterations=3)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(fit, "MIN_FORK_EVALUATIONS", 0)
     monkeypatch.setattr(cli, "fit_on_batch", dying_fit)
-    out = tmp_path / "m"
-    assert main(["fit", "--seed", "0", "--config", tiny_cfg, "--out", str(out)]) == 1
+    monkeypatch.setattr(experiments, "fit_on_batch", dying_fit)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG.replace("iterations = 0", "iterations = 1"))
+    out = tmp_path / "out"
+    threads = threading.active_count()
+    argv = [command, "--seed", "0", "--config", str(cfg), "--out", str(out)]
+    assert with_cpus(monkeypatch, 2, lambda: main(argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: A process in the process pool was terminated abruptly")
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    assert len(forks) == 2
+    assert_reaped(forks, threads)
+
+
+# The cli-study benchmark workload's config
+STUDY_CFG = """\
+channels = 2
+height = 16
+width = 16
+patch_side = 4
+reduced_channels = 2
+steps = 3
+rectangles = 2,2,6,6;9,8,5,5
+instances = 1
+eval_seeds = 2
+iterations = 1
+k_max = 2
+mode = bitemporal
+"""
+
+
+def test_diverging_sweep_variant_fails_alike_on_any_cpus(capsys, tmp_path, monkeypatch, forks):
+    # The ablation's 416 loss evaluations fork on 2 CPUs.
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(STUDY_CFG + "learning_rate = 1000\n")
+    out = tmp_path / "ablation.csv"
+    errs = []
+    threads = threading.active_count()
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(["ablation", "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 2
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs == ["numerical failure: iteration 0: loss rose from 1.43267 to 1023.21\n"] * 2
+    assert len(forks) == 2
+    assert_reaped(forks, threads)
+
+
+def test_interrupted_forked_sweep_exits_130(capsys, tmp_path, monkeypatch, forks):
+    # The first variant a worker takes sends SIGINT to the process that
+    # waits for the sweep's scores.
+    me = os.getpid()
+    marker = tmp_path / "interrupted"
+    real_fit = experiments.fit_on_batch
+
+    def interrupting_fit(cfg, *args):
+        if os.getpid() != me:
+            with contextlib.suppress(FileExistsError):
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                os.kill(me, signal.SIGINT)
+        return real_fit(cfg, *args)
+
+    monkeypatch.setattr(experiments, "fit_on_batch", interrupting_fit)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG.replace("iterations = 0", "iterations = 1"))
+    out = tmp_path / "ablation.csv"
+    threads = threading.active_count()
+    argv = ["ablation", "--seed", "0", "--config", str(cfg), "--out", str(out)]
+    with deadline(60):
+        assert with_cpus(monkeypatch, 2, lambda: main(argv)) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert marker.exists()
+    assert not out.exists()
+    assert_reaped(forks, threads)
+
+
+@pytest.mark.parametrize("command", ["ablation", "k-sweep", "sensitivity"])
+@pytest.mark.parametrize("line, message", [
+    ("patch_side = 5", "patch side 5 does not tile a 16x16 grid"),
+    ("rectangles = 2,2,6,6;9,8,5,9", "rectangle (9, 8, 5, 9) exceeds the 16x16 grid"),
+], ids=["grid", "rectangle"])
+def test_sweep_rejects_bad_spec_before_forking(capsys, tmp_path, monkeypatch, forks, command,
+                                               line, message):
+    key = line.split()[0]
+    text = "".join(f"{line}\n" if row.startswith(key) else f"{row}\n"
+                   for row in STUDY_CFG.splitlines())
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "sweep.csv"
+    argv = [command, "--seed", "0", "--config", str(cfg), "--out", str(out)]
+    assert with_cpus(monkeypatch, 4, lambda: main(argv)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert forks == []
     assert not out.exists()
 
 

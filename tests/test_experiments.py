@@ -1,9 +1,12 @@
 """Experiment drivers: config parsing, row builders, invariant checks."""
 
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_fit import assert_reaped, with_cpus
 
 from diffdecomp import experiments
 from diffdecomp.core import ConfigError
@@ -12,6 +15,7 @@ from diffdecomp.experiments import (
     MARGIN_GRID,
     WEIGHT_GRID,
     ExperimentConfig,
+    ablation_rows,
     canonical_config_text,
     config_from_mapping,
     contraction_rows,
@@ -331,13 +335,30 @@ def test_sensitivity_fits_each_distinct_setting_once(monkeypatch):
     # the default margin, band and weights are one variant, fitted once
     fitted = []
 
-    def counted(cfg):
+    def counted(cfg, *args):
         fitted.append(cfg)
-        return fit_on_batch(cfg)
+        return fit_on_batch(cfg, *args)
 
     monkeypatch.setattr(experiments, "fit_on_batch", counted)
-    sensitivity_rows(TINY)
+    with_cpus(monkeypatch, 1, lambda: sensitivity_rows(TINY))
     assert len(fitted) == 14 and len(set(fitted)) == 14
+
+
+def test_forked_sensitivity_maps_each_distinct_setting_once(monkeypatch, forks, tmp_path):
+    # The workers fit; each writes the pid and config of every fit it makes.
+    log = tmp_path / "fitted"
+
+    def counted(cfg, *args):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {cfg!r}\n")
+        return fit_on_batch(cfg, *args)
+
+    monkeypatch.setattr(experiments, "fit_on_batch", counted)
+    with_cpus(monkeypatch, 2, lambda: sensitivity_rows(replace(TINY, iterations=1)))
+    assert len(forks) == 2
+    pids, configs = zip(*(line.split(" ", 1) for line in log.read_text("utf-8").splitlines()))
+    assert len(configs) == 14 and len(set(configs)) == 14
+    assert {int(pid) for pid in pids} <= set(forks)
 
 
 def slow_scores(cfg, fit=True):
@@ -376,16 +397,14 @@ SWEEP_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(SWEEP_CONFIGS))
-def test_sweep_tables_match_the_slow_path(mode):
-    cfg = SWEEP_CONFIGS[mode]
+def slow_tables(cfg):
+    """The ablation, k-sweep and sensitivity rows of ``cfg`` by the slow path."""
     ablation = []
     for gating, align_on, staged in [(g, a, s) for g in (1, 0) for a in (1, 0) for s in (1, 0)]:
         scores = slow_scores(replace(cfg, use_gating=gating, use_align=align_on, use_staged=staged))
         metrics = ("loss", "f1", "mu_n", "separation", "outside_band")
         switches = {"gating": gating, "align": align_on, "staged": staged}
         ablation.append({**switches, **{key: scores[key] for key in metrics}})
-    assert experiments.ablation_rows(cfg)[1] == ablation
 
     ksweep = []
     for k in range(cfg.k_max + 1):
@@ -399,7 +418,6 @@ def test_sweep_tables_match_the_slow_path(mode):
                 "cost_units": k * cfg.channels * cfg.height * cfg.width,
             }
         )
-    assert ksweep_rows(cfg)[1] == ksweep
 
     sensitivity = []
     settings = [("margin", f"{m:g}", {"margin": m}) for m in MARGIN_GRID]
@@ -420,12 +438,70 @@ def test_sweep_tables_match_the_slow_path(mode):
                 "is_default": int(default),
             }
         )
-    assert sensitivity_rows(cfg)[1] == sensitivity
+    return [ablation, ksweep, sensitivity]
+
+
+
+
+@pytest.mark.parametrize("mode", sorted(SWEEP_CONFIGS))
+def test_sweep_tables_match_the_slow_path(monkeypatch, forks, mode):
+    # On 2 CPUs each sweep forks 2 workers, whatever this machine has.
+    cfg = SWEEP_CONFIGS[mode]
+    want = with_cpus(monkeypatch, 1, lambda: slow_tables(cfg))
+    sweeps = (ablation_rows, ksweep_rows, sensitivity_rows)
+    for cpus, workers in ((1, 0), (2, 2 * len(sweeps))):
+        forks.clear()
+        assert with_cpus(monkeypatch, cpus, lambda: [rows(cfg)[1] for rows in sweeps]) == want
+        assert len(forks) == workers
+
+
+# A k-sweep has k_max + 1 variants, and MAX_WORKERS is 4.
+@pytest.mark.parametrize("rows, cpus, workers",
+                         [(ablation_rows, 3, 3), (ablation_rows, 8, 4), (ksweep_rows, 4, 2)])
+def test_forked_sweep_forks_its_workers_alone(monkeypatch, forks, tmp_path, rows, cpus, workers):
+    # Every fork, here or in a worker, writes the pid that made it.
+    log = tmp_path / "forks"
+    recording_fork = os.fork
+
+    def logged_fork():
+        parent = os.getpid()
+        pid = recording_fork()
+        if pid:
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{parent}\n")
+        return pid
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    threads = threading.active_count()
+    with_cpus(monkeypatch, cpus, lambda: rows(replace(TINY, iterations=1)))
+    assert len(forks) == workers
+    assert log.read_text("utf-8").split() == [str(os.getpid())] * workers
+    assert_reaped(forks, threads)
+
+
+def test_one_cpu_sweep_forks_nothing(monkeypatch, forks):
+    with_cpus(monkeypatch, 1, lambda: ablation_rows(replace(TINY, iterations=1)))
+    assert forks == []
+
+
+# The cli-study benchmark workload's config: P = 26 at K = 3, one iteration.
+STUDY = ExperimentConfig(channels=2, height=16, width=16, patch_side=4, reduced_channels=2,
+                         steps=3, rectangles="2,2,6,6;9,8,5,5", instances=1, eval_seeds=2,
+                         iterations=1, k_max=2, mode="bitemporal")
+
+
+# The ablation makes 8 * 2 * 26 = 416 loss evaluations.  The k-sweep fits
+# P = 20 and 23 at K = 1 and 2: 2 * (20 + 23) = 86, under MIN_FORK_EVALUATIONS.
+@pytest.mark.parametrize("rows, workers", [(ablation_rows, 2), (ksweep_rows, 0)])
+def test_sweep_forks_from_min_fork_evaluations(monkeypatch, forks, rows, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rows(STUDY)
+    assert len(forks) == workers
 
 
 def test_fit_and_score_returns_plain_numbers():
     for cfg in (replace(TINY, iterations=1), replace(TINY, rectangles="")):
-        scores = experiments._fit_and_score(cfg)
+        scores = experiments._fit_and_score(cfg, True, make_model(cfg))
         assert list(scores) == ["loss", "f1", "mu_n", "separation", "outside_band", "sve_gap"]
         assert all(type(value) is float or value is None for value in scores.values())
     assert scores["sve_gap"] is None  # no changed patch, so no gap

@@ -19,7 +19,7 @@ from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model, m
 from diffdecomp.fit import (
     FitDivergedError,
     FitError,
-    _pool,
+    _forked,
     _vector_loss,
     apply_theta,
     fd_gradient,
@@ -146,22 +146,6 @@ def raised(run):
     return type(info.value), str(info.value)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes os.fork makes while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
 def test_forked_fd_gradient_matches_serial(rng):
     a = rng.uniform(0.5, 2.0, 7)
     theta = rng.normal(0.0, 1.0, 7)
@@ -170,7 +154,7 @@ def test_forked_fd_gradient_matches_serial(rng):
         return float(np.sum(a * th * th) + np.sum(np.sin(th)))
 
     loss = _vector_loss(loss)
-    with _pool(loss, 3) as pool:
+    with _forked(loss, 3) as pool:
         forked = fd_gradient(loss, theta, 1e-4, pool=pool)
         again = fd_gradient(loss, theta + 0.5, 1e-4, pool=pool)
     assert np.array_equal(forked, fd_gradient(loss, theta))
@@ -198,7 +182,7 @@ def test_busy_helper_takes_fewer_coordinates(tmp_path):
         return float(np.sum(np.cos(th)))
 
     theta, loss = np.linspace(-1.0, 1.0, 12), _vector_loss(loss)
-    with _pool(loss, 2) as pool:
+    with _forked(loss, 2) as pool:
         forked = fd_gradient(loss, theta, 1e-4, pool=pool)
     assert 0 < len(log.read_text(encoding="utf-8").split()) < theta.size
     assert np.array_equal(forked, fd_gradient(loss, theta))
@@ -215,7 +199,7 @@ def test_workers_ignore_interrupts(tmp_path):
         return float(np.sum(th**2))
 
     loss = _vector_loss(loss)
-    with _pool(loss, 2) as pool:
+    with _forked(loss, 2) as pool:
         fd_gradient(loss, np.zeros(4), 1e-4, pool=pool)
     assert log.read_text(encoding="utf-8").splitlines() == [repr(signal.SIG_IGN)] * 8
     assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
@@ -265,7 +249,7 @@ def test_forked_resumed_gradient_matches_serial():
         return report(th).total
 
     theta = pack_params(model, DEFAULT_GROUPS)
-    with _pool(loss, 2) as pool:
+    with _forked(loss, 2) as pool:
         forked = [fd_gradient(loss, th, 1e-4, pool=pool) for th in (theta, theta + 0.5)]
     for grad, th in zip(forked, (theta, theta + 0.5)):
         assert np.array_equal(grad, fd_gradient(loss, th, 1e-4))

@@ -20,8 +20,9 @@ fit per task, and the fits in a worker are serial, so no process tree holds
 more than ``MAX_WORKERS`` workers.  Results come back in task order, and each
 task is the same arithmetic in a copy of the same process, so every result
 has the same bits as the serial loop's and a failure raises the first
-failing task's error.  A dead worker raises ``ChildProcessError``, and
-workers ignore SIGINT.  With one CPU, or for short work, nothing is forked.
+failing task's error; the workers are then stopped, not waited for.  A dead
+worker raises ``ChildProcessError``, and workers ignore SIGINT.  With one
+CPU, or for short work, nothing is forked.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ def _forked(task, count: int):
 
     Each worker ignores SIGINT and forks nothing (:func:`_worker_count`).  A
     worker that dies makes the block raise ``ChildProcessError``, chained from
-    the pool's ``BrokenProcessPool``.  Every worker is reaped before the block
-    returns or raises.
+    the pool's ``BrokenProcessPool``.  When the block raises, the workers are
+    stopped, not waited for: their tasks' results would be dropped.  Every
+    worker is reaped before the block returns or raises.
     """
     if count < 2:
         yield None
@@ -197,6 +199,10 @@ def _forked(task, count: int):
         yield pool
     except BrokenProcessPool as exc:
         raise ChildProcessError(str(exc)) from exc
+    except BaseException:
+        for worker in list(pool._processes.values()):  # no public way before Python 3.14
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -4,6 +4,7 @@ import contextlib
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -316,17 +317,16 @@ def test_diverging_sweep_variant_fails_alike_on_any_cpus(capsys, tmp_path, monke
 
 def test_interrupted_forked_sweep_exits_130(capsys, tmp_path, monkeypatch, forks):
     # The first variant a worker takes sends SIGINT to the process that
-    # waits for the sweep's scores.
+    # waits for the sweep's scores; every variant then takes 20 s, so
+    # the sweep must stop its workers, not wait for them.
     me = os.getpid()
     marker = tmp_path / "interrupted"
-    real_fit = experiments.fit_on_batch
 
     def interrupting_fit(cfg, *args):
-        if os.getpid() != me:
-            with contextlib.suppress(FileExistsError):
-                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-                os.kill(me, signal.SIGINT)
-        return real_fit(cfg, *args)
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            os.kill(me, signal.SIGINT)
+        time.sleep(20)
 
     monkeypatch.setattr(experiments, "fit_on_batch", interrupting_fit)
     cfg = tmp_path / "run.cfg"
@@ -334,7 +334,7 @@ def test_interrupted_forked_sweep_exits_130(capsys, tmp_path, monkeypatch, forks
     out = tmp_path / "ablation.csv"
     threads = threading.active_count()
     argv = ["ablation", "--seed", "0", "--config", str(cfg), "--out", str(out)]
-    with deadline(60):
+    with deadline(10):
         assert with_cpus(monkeypatch, 2, lambda: main(argv)) == 130
     assert capsys.readouterr().err == "interrupted\n"
     assert marker.exists()
@@ -343,17 +343,14 @@ def test_interrupted_forked_sweep_exits_130(capsys, tmp_path, monkeypatch, forks
 
 
 @pytest.mark.parametrize("command", ["ablation", "k-sweep", "sensitivity"])
-@pytest.mark.parametrize("line, message", [
-    ("patch_side = 5", "patch side 5 does not tile a 16x16 grid"),
-    ("rectangles = 2,2,6,6;9,8,5,9", "rectangle (9, 8, 5, 9) exceeds the 16x16 grid"),
+@pytest.mark.parametrize("old, new, message", [
+    ("patch_side = 4", "patch_side = 5", "patch side 5 does not tile a 16x16 grid"),
+    ("9,8,5,5", "9,8,5,9", "rectangle (9, 8, 5, 9) exceeds the 16x16 grid"),
 ], ids=["grid", "rectangle"])
 def test_sweep_rejects_bad_spec_before_forking(capsys, tmp_path, monkeypatch, forks, command,
-                                               line, message):
-    key = line.split()[0]
-    text = "".join(f"{line}\n" if row.startswith(key) else f"{row}\n"
-                   for row in STUDY_CFG.splitlines())
+                                               old, new, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    cfg.write_text(STUDY_CFG.replace(old, new))
     out = tmp_path / "sweep.csv"
     argv = [command, "--seed", "0", "--config", str(cfg), "--out", str(out)]
     assert with_cpus(monkeypatch, 4, lambda: main(argv)) == 1

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import rng
 from .convergence import consistency_distance, contraction_report, scores_from_residuals
-from .core import ConfigError, frobenius_norm, parse_name_values, singular_values
-from .fit import FitResult, _selected_leaves, apply_theta, fit, pack_params
-from .fit import _forked, _worker_call, _worker_count  # the sweeps' fork helper
+from .core import ConfigError, NumericalError, frobenius_norm, parse_name_values, singular_values
+from .fit import FitResult, _forked, _selected_leaves, apply_theta, fit, pack_params
 from .objective import LossReport, StageConfig, f1_score, nuisance_mean, separation, total_loss
 from .params import ModelParams, init_model_params, replace_leaves
 from .solver import SolverRun, init_state, predict, run, step
@@ -247,12 +246,17 @@ def difference_field(item, align: AlignParams, use_align: bool) -> np.ndarray:
     """The difference field of a generated item.
 
     Decomposition instances pass through; bi-temporal pairs are subband-
-    aligned (unless disabled) and differenced.
+    aligned (unless disabled) and differenced.  A difference that overflows
+    raises :class:`NumericalError`.
     """
     if isinstance(item, SynthInstance):
         return item.dfield
-    f1, f2 = suppress_pair(item.f1, item.f2, align) if use_align else (item.f1, item.f2)
-    return f2 - f1
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1, f2 = suppress_pair(item.f1, item.f2, align) if use_align else (item.f1, item.f2)
+        dfield = f2 - f1
+    if not np.all(np.isfinite(dfield)):
+        raise NumericalError("difference field: non-finite entries")
+    return dfield
 
 
 def evaluate_instance(model: ModelParams, item, cfg: ExperimentConfig, stage: StageConfig):
@@ -500,11 +504,10 @@ def _score_variants(variants):
     """``_fit_and_score`` of each ``(config, fit)`` variant, fitting each distinct one once.
 
     Each distinct variant's spec is checked and its initial bundle built
-    here, so a bad config fails before any fork.  The distinct variants are
-    mapped over processes forked here when their fits make at least
-    ``fit.MIN_FORK_EVALUATIONS`` loss evaluations in all (2·P·iterations
-    each); the fits inside a worker are serial.  Either way every score has
-    the same bits.
+    here, so a bad config fails before any fork.  The distinct variants go
+    through one ``fit._forked`` map, told their fits' loss evaluations in all
+    (2·P·iterations each); the fits inside a worker are serial.  Either way
+    every score has the same bits.
     """
     distinct = list(dict.fromkeys(variants))
     models = []
@@ -517,9 +520,8 @@ def _score_variants(variants):
     def score(i: int) -> dict:
         return _fit_and_score(*distinct[i], models[i])
 
-    indices = range(len(distinct))
-    with _forked(score, _worker_count(evaluations, len(distinct))) as pool:
-        scores = list(map(score, indices) if pool is None else pool.map(_worker_call, indices))
+    with _forked(score, evaluations, len(distinct)) as scored:
+        scores = list(scored(range(len(distinct))))
     by_variant = dict(zip(distinct, scores))
     return [by_variant[variant] for variant in variants]
 

@@ -8,21 +8,22 @@ small bundles, not deep training).
 
 The gradient, :func:`fd_gradient`, evaluates a coordinate loss,
 ``loss(theta, i, value)``: the loss at ``theta`` with entry ``i`` set to
-``value``.  By default a fit's is the loss of the whole moved vector; an
-objective that knows what one entry can change (``experiments.fit_on_batch``'s)
-may do less work for the same value.
+``value``.  A fit takes one from its caller; an objective that knows what
+one entry can change (``experiments.fit_on_batch``'s) may do less work than
+a whole run of the moved vector, for the same value.
 
-Work on more than one CPU goes to one fork helper, :func:`_forked`: a pool
-of processes forked here, one per CPU, shut down and reaped when the work
-ends.  A fit shares each gradient among them, one coordinate per task; a
-sweep (``experiments._score_variants``) maps its variants over them, one
-fit per task, and the fits in a worker are serial, so no process tree holds
-more than ``MAX_WORKERS`` workers.  Results come back in task order, and each
-task is the same arithmetic in a copy of the same process, so every result
-has the same bits as the serial loop's and a failure raises the first
-failing task's error; the workers are then stopped, not waited for.  A dead
-worker raises ``ChildProcessError``, and workers ignore SIGINT.  With one
-CPU, or for short work, nothing is forked.
+One function, :func:`_forked`, decides whether work runs on more than one
+CPU, and hands its caller an ordered map either way: the builtin ``map``,
+or a pool of processes forked here, one per CPU, shut down and reaped when
+the work ends.  A fit maps each gradient's coordinates over it, one
+coordinate per task; a sweep (``experiments._score_variants``) maps its
+variants, one fit per task, and the fits in a worker are serial, so no
+process tree holds more than ``MAX_WORKERS`` workers.  Results come back in
+task order, and each task is the same arithmetic in a copy of the same
+process, so every result has the same bits as the serial loop's and a
+failure raises the first failing task's error; the workers are then
+stopped, not waited for.  A dead worker raises ``ChildProcessError``, and
+workers ignore SIGINT.  With one CPU, or for short work, nothing is forked.
 """
 
 from __future__ import annotations
@@ -130,17 +131,6 @@ def _half_step(step_size) -> float:
     return h
 
 
-def _vector_loss(loss_fn):
-    """``loss_fn``, a scalar function of the whole vector, as a coordinate loss."""
-
-    def loss(theta, i: int, value):
-        moved = theta.copy()
-        moved[i] = value
-        return loss_fn(moved)
-
-    return loss
-
-
 def _fd_pair(loss, theta, h: float, i: int):
     """Coordinate loss ``loss`` at ``theta[i] + h`` and ``theta[i] - h``.
 
@@ -153,18 +143,17 @@ def _fd_pair(loss, theta, h: float, i: int):
     return f_up, f_down
 
 
-# In a pool worker: the task it runs, set when it starts; and that it forks nothing.
+# In a pool worker, the task it runs, set when it starts; None in any other process.
 _worker_task = None
-_in_worker = False
 
 
 def _start_worker(task) -> None:
     """Keep ``task``, inherited by the fork; Ctrl-C is the parent's to handle."""
     import signal
 
-    global _worker_task, _in_worker
+    global _worker_task
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_task, _in_worker = task, True
+    _worker_task = task
 
 
 def _worker_call(*args):
@@ -172,23 +161,24 @@ def _worker_call(*args):
     return _worker_task(*args)
 
 
-def _worker_pair(theta, h: float, i: int):
-    """One coordinate's pair of the worker's coordinate loss, in a pool worker."""
-    return _fd_pair(_worker_task, theta, h, i)
-
-
 @contextlib.contextmanager
-def _forked(task, count: int):
-    """A pool of ``count`` processes forked here that run ``task``; None if ``count`` < 2.
+def _forked(task, evaluations: int, tasks: int):
+    """An ordered map of ``task`` for ``tasks`` tasks of ``evaluations`` loss evaluations in all.
 
-    Each worker ignores SIGINT and forks nothing (:func:`_worker_count`).  A
-    worker that dies makes the block raise ``ChildProcessError``, chained from
-    the pool's ``BrokenProcessPool``.  When the block raises, the workers are
-    stopped, not waited for: their tasks' results would be dropped.  Every
-    worker is reaped before the block returns or raises.
+    The block's map runs ``task`` on processes forked here, one per CPU this
+    process may use, up to ``MAX_WORKERS`` and ``tasks``; in a pool worker,
+    below ``MIN_FORK_EVALUATIONS``, or with one such process, it is the
+    builtin ``map`` of ``task``.  Each worker ignores SIGINT.  A worker that
+    dies makes the block raise ``ChildProcessError``, chained from the pool's
+    ``BrokenProcessPool``.  When the block raises, the workers are stopped,
+    not waited for: their tasks' results would be dropped.  Every worker is
+    reaped before the block returns or raises.
     """
-    if count < 2:
-        yield None
+    # without a CPU set to read (not Linux), every task runs here
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, MAX_WORKERS, tasks)
+    if _worker_task is not None or evaluations < max(1, MIN_FORK_EVALUATIONS) or count < 2:
+        yield functools.partial(map, task)
         return
     import multiprocessing  # here, so that a process that never forks skips them
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -196,7 +186,7 @@ def _forked(task, count: int):
     fork = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(count, mp_context=fork, initializer=_start_worker, initargs=(task,))
     try:
-        yield pool
+        yield functools.partial(pool.map, _worker_call)
     except BrokenProcessPool as exc:
         raise ChildProcessError(str(exc)) from exc
     except BaseException:
@@ -207,67 +197,50 @@ def _forked(task, count: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _worker_count(evaluations: int, tasks: int) -> int:
-    """Processes for ``tasks`` tasks that make ``evaluations`` loss evaluations in all."""
-    if _in_worker or evaluations < max(1, MIN_FORK_EVALUATIONS):
-        return 1
-    # without a CPU set to read (not Linux), every task runs here
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, MAX_WORKERS, tasks))
-
-
-def fd_gradient(loss, theta, step_size: float = 1e-4, *, pool=None):
+def fd_gradient(loss, theta, step_size: float = 1e-4, *, pairs=None):
     """Central-difference gradient of the coordinate loss ``loss`` at ``theta``.
 
     ``loss(theta, i, value)`` is the loss at ``theta`` with entry ``i`` set
-    to ``value``; :func:`_vector_loss` makes one of a scalar function of the
-    vector.  Raises :class:`FitError` naming the coordinate if an evaluation
-    is non-finite.  ``pool``, when given, is a :func:`_forked` pool made for
-    ``loss``; its results come in coordinate order, so it raises the lowest
-    failing coordinate's error, as the serial loop does.  Without it every
-    evaluation runs here.
+    to ``value``.  Raises :class:`FitError` naming the coordinate if an
+    evaluation is non-finite.  Each coordinate's pair goes through ``pairs``,
+    an ordered map of ``_fd_pair`` bound to ``loss`` over (theta, h, i): by
+    default the builtin ``map``, in a fit its :func:`_forked` map.  Either
+    way the lowest failing coordinate's error is raised.
     """
     theta, h = np.asarray(theta, dtype=np.float64), _half_step(step_size)
-    if pool is None:
-        pairs = map(functools.partial(_fd_pair, loss, theta, h), range(theta.size))
-    else:
-        pairs = pool.map(functools.partial(_worker_pair, theta, h), range(theta.size))
+    pairs = pairs or functools.partial(map, functools.partial(_fd_pair, loss))
     grad = np.zeros_like(theta)
-    for i, (f_up, f_down) in enumerate(pairs):
+    for i, (f_up, f_down) in enumerate(pairs([theta] * theta.size, [h] * theta.size,
+                                             range(theta.size))):
         grad[i] = (f_up - f_down) / (2.0 * h)
     return grad
 
 
-def fit(report_fn, theta0, *, iterations: int, learning_rate: float = 0.05,
-        step_size: float = 1e-4, coordinate_loss=None):
+def fit(report_fn, theta0, *, iterations: int, learning_rate: float, step_size: float,
+        coordinate_loss):
     """Plain gradient descent on ``report_fn(theta).total``.
 
     Returns (theta, curve of LossReports, one per recorded iterate).  Each
     iteration steps by ``-learning_rate`` times :func:`fd_gradient` (half-step
     ``step_size``) of ``coordinate_loss(theta, i, value)``, the total at
-    ``theta`` with entry ``i`` set to ``value``; by default that is
-    ``report_fn`` of the moved vector.  A step that multiplies the loss by
-    more than ``DIVERGENCE_FACTOR`` raises :class:`FitDivergedError` (the
-    divergence alarm).  When this process may use more than one CPU, is not
-    itself a pool worker, and the fit makes at least ``MIN_FORK_EVALUATIONS``
-    loss evaluations, a pool of processes forked here evaluates each
-    gradient; they are reaped before this returns or raises.
+    ``theta`` with entry ``i`` set to ``value``.  A step that multiplies the
+    loss by more than ``DIVERGENCE_FACTOR`` raises :class:`FitDivergedError`
+    (the divergence alarm).  The gradients' pairs go through one
+    :func:`_forked` map, entered after the initial report.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     if theta.size > MAX_PARAMETERS:
         raise ConfigError(f"{theta.size} parameters exceed the fit cap of {MAX_PARAMETERS}")
-    if coordinate_loss is None:
-        coordinate_loss = _vector_loss(lambda th: report_fn(th).total)
 
     _half_step(step_size)  # a bad step fails before any fork
     report = report_fn(theta)
     if not np.isfinite(report.total):
         raise FitError(f"initial loss is non-finite: {report.total}")
     curve = [report]
-    count = _worker_count(2 * theta.size * int(iterations), theta.size)
-    with _forked(coordinate_loss, count) as pool:
+    task = functools.partial(_fd_pair, coordinate_loss)
+    with _forked(task, 2 * theta.size * int(iterations), theta.size) as pairs:
         for it in range(int(iterations)):
-            grad = fd_gradient(coordinate_loss, theta, step_size, pool=pool)
+            grad = fd_gradient(coordinate_loss, theta, step_size, pairs=pairs)
             theta = theta - learning_rate * grad
             report = report_fn(theta)
             if not np.isfinite(report.total):

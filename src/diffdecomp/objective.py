@@ -141,12 +141,14 @@ def total_loss(dfield, labels, states, probs, config: StageConfig, lam_rec: floa
 
     ``states`` is the solver's state list (index = step); ``probs`` the head
     probabilities for the final change estimate.  There is no auxiliary term
-    (its weight is fixed to zero).
+    (its weight is fixed to zero).  A term that overflows is inf or nan,
+    without a warning; the fit rejects a non-finite total.
     """
-    exp, con, ssec = staged_loss(states, config)
-    seg = bce_dice_loss(probs, labels, config.epsilon)
-    rec = reconstruction_loss(dfield, states[-1].c, states[-1].n)
-    total = seg + float(lam_rec) * rec + ssec
+    with np.errstate(over="ignore", invalid="ignore"):
+        exp, con, ssec = staged_loss(states, config)
+        seg = bce_dice_loss(probs, labels, config.epsilon)
+        rec = reconstruction_loss(dfield, states[-1].c, states[-1].n)
+        total = seg + float(lam_rec) * rec + ssec
     return LossReport(seg=seg, rec=rec, exp=exp, con=con, ssec=ssec, total=total)
 
 

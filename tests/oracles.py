@@ -144,3 +144,14 @@ def closure_distance_line_search(dfield, c, n, span=4.0, points=200_001):
     ts = np.linspace(-span, span, points)
     dist_sq = (1.0 - ts) ** 2 * rnorm**2 + ts**2 * rnorm**2
     return float(np.sqrt(np.min(dist_sq)))
+
+
+def vector_loss(loss_fn):
+    """``loss_fn``, a scalar function of the whole vector, as a coordinate loss."""
+
+    def loss(theta, i, value):
+        moved = theta.copy()
+        moved[i] = value
+        return loss_fn(moved)
+
+    return loss

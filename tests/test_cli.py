@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from test_fit import assert_reaped, deadline, with_cpus
+from test_fit import assert_reaped, deadline, descend, with_cpus
 
 from diffdecomp import experiments
 from diffdecomp.cli import main
@@ -251,7 +251,7 @@ def test_interrupt_exits_130(capsys, tmp_path, tiny_cfg, monkeypatch):
 def test_dead_pool_worker_is_one_error_line(capsys, tmp_path, monkeypatch, forks, command):
     # The command forks a pool of two workers, and each exits as it takes a
     # task: a fit's coordinate, or a sweep's variant.
-    from diffdecomp import cli, fit
+    from diffdecomp import cli
 
     me = os.getpid()
 
@@ -263,7 +263,7 @@ def test_dead_pool_worker_is_one_error_line(capsys, tmp_path, monkeypatch, forks
     def dying_fit(cfg, *args):
         if os.getpid() != me:  # a sweep's worker
             os._exit(3)
-        return fit.fit(report_fn, np.ones(6), iterations=3)
+        return descend(report_fn, np.ones(6), iterations=3, learning_rate=0.05, step_size=1e-4)
 
     monkeypatch.setattr(cli, "fit_on_batch", dying_fit)
     monkeypatch.setattr(experiments, "fit_on_batch", dying_fit)
@@ -416,6 +416,38 @@ def test_solver_overflow_is_numerical_failure(capsys, tmp_path):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "numerical failure: step 1: non-finite change or nuisance estimate\n"
+
+
+# A tiny fit whose gradient step overflows; the second also runs the
+# Haar suppression of its fitted bi-temporal difference fields.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lines, message", [
+    ("groups = steps\nlearning_rate = 1e308\n", "non-finite loss after iteration 0"),
+    ("mode = bitemporal\ngroups = align\nlearning_rate = 1e200\n",
+     "difference field: non-finite entries"),
+], ids=["loss", "suppression"])
+def test_fit_overflow_is_one_numerical_failure_line(capsys, tmp_path, lines, message):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(TINY_CFG.replace("iterations = 0", "iterations = 1") + lines)
+    out = tmp_path / "m.params"
+    assert main(["fit", "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_suppression_overflow_of_params_is_numerical_failure(capsys, tmp_path):
+    cfg = tmp_path / "bitemporal.cfg"
+    cfg.write_text(TINY_CFG + "mode = bitemporal\n")
+    text = dumps_params(experiments.make_model(experiments.parse_config_text(cfg.read_text())))
+    assert "\nalign_eta_a = 0.5\n" in text
+    params = tmp_path / "model.params"
+    params.write_text(text.replace("\nalign_eta_a = 0.5\n", "\nalign_eta_a = 1e308\n"))
+    out = tmp_path / "sve.csv"
+    argv = ["sve-prior", "--seed", "0", "--config", str(cfg), "--params", str(params)]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: difference field: non-finite entries\n"
+    assert not out.exists()
 
 
 def test_lapack_failure_is_numerical_failure(capsys, tmp_path, tiny_cfg, monkeypatch):

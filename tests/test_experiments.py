@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import vector_loss
 from test_fit import assert_reaped, with_cpus
 
 from diffdecomp import experiments
@@ -227,7 +228,8 @@ def test_fit_on_batch_fields_match_per_evaluation(monkeypatch, groups):
         return experiments._mean_report(reports)
 
     theta, curve = fit(batch_report, pack_params(model, names), iterations=cfg.iterations,
-                       learning_rate=cfg.learning_rate, step_size=cfg.step_size)
+                       learning_rate=cfg.learning_rate, step_size=cfg.step_size,
+                       coordinate_loss=vector_loss(lambda th: batch_report(th).total))
     assert dumps_params(result.params) == dumps_params(apply_theta(model, names, theta))
     assert result.curve == curve
 

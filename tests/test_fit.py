@@ -1,6 +1,7 @@
 """Finite-difference gradients and the plain descent loop."""
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import vector_loss
 
 import diffdecomp.fit as fit_module
 from diffdecomp.core import ConfigError, NumericalError
@@ -19,8 +21,8 @@ from diffdecomp.experiments import ExperimentConfig, fit_on_batch, make_model, m
 from diffdecomp.fit import (
     FitDivergedError,
     FitError,
+    _fd_pair,
     _forked,
-    _vector_loss,
     apply_theta,
     fd_gradient,
     fit,
@@ -36,36 +38,42 @@ def report_of(total):
     return LossReport(seg=0.0, rec=0.0, exp=0.0, con=0.0, ssec=0.0, total=float(total))
 
 
+def descend(report_fn, theta0, **settings):
+    """``fit`` of ``report_fn`` whose coordinate loss is the total of the whole moved vector."""
+    return fit(report_fn, theta0, coordinate_loss=vector_loss(lambda th: report_fn(th).total),
+               **settings)
+
+
 # ------------------------------------------------------------------ gradients
 
 
 def test_fd_gradient_quadratic():
-    grad = fd_gradient(_vector_loss(lambda th: float(th[0] ** 2)), np.array([3.0]))
+    grad = fd_gradient(vector_loss(lambda th: float(th[0] ** 2)), np.array([3.0]))
     assert abs(grad[0] - 6.0) < 1e-6
 
 
 def test_fd_gradient_abs_away_from_kink():
-    grad = fd_gradient(_vector_loss(lambda th: float(abs(th[0]))), np.array([2.0]))
+    grad = fd_gradient(vector_loss(lambda th: float(abs(th[0]))), np.array([2.0]))
     assert abs(grad[0] - 1.0) < 1e-8
 
 
 def test_fd_gradient_exact_for_linear(rng):
     a = rng.normal(0.0, 2.0, 6)
     theta = rng.normal(0.0, 1.0, 6)
-    grad = fd_gradient(_vector_loss(lambda th: float(a @ th) + 4.0), theta)
+    grad = fd_gradient(vector_loss(lambda th: float(a @ th) + 4.0), theta)
     assert np.max(np.abs(grad - a)) < 1e-10
 
 
 def test_fd_gradient_vector_quadratic(rng):
     a = rng.uniform(0.5, 2.0, 5)
     theta = rng.normal(0.0, 1.0, 5)
-    grad = fd_gradient(_vector_loss(lambda th: float(np.sum(a * th * th))), theta)
+    grad = fd_gradient(vector_loss(lambda th: float(np.sum(a * th * th))), theta)
     assert np.max(np.abs(grad - 2.0 * a * theta)) < 1e-6
 
 
 def test_fd_gradient_rejects_bad_step():
     with pytest.raises(ConfigError):
-        fd_gradient(_vector_loss(lambda th: 0.0), np.zeros(2), step_size=0.0)
+        fd_gradient(vector_loss(lambda th: 0.0), np.zeros(2), step_size=0.0)
 
 
 def test_fd_gradient_names_bad_coordinate():
@@ -73,7 +81,7 @@ def test_fd_gradient_names_bad_coordinate():
         return float("nan") if th[1] > 0.5 else 0.0
 
     with pytest.raises(FitError, match="coordinate 1"):
-        fd_gradient(_vector_loss(loss), np.array([0.0, 0.5]))
+        fd_gradient(vector_loss(loss), np.array([0.0, 0.5]))
 
 
 # ------------------------------------------------------------------ descent loop
@@ -81,16 +89,17 @@ def test_fd_gradient_names_bad_coordinate():
 
 def test_zero_iterations_keeps_theta():
     theta0 = np.array([1.0, -2.0])
-    theta, curve = fit(lambda th: report_of(np.sum(th**2)), theta0, iterations=0)
+    theta, curve = descend(lambda th: report_of(np.sum(th**2)), theta0, iterations=0,
+                           learning_rate=0.05, step_size=1e-4)
     assert np.array_equal(theta, theta0)
     assert len(curve) == 1
 
 
 def test_quadratic_surrogate_converges():
-    theta, curve = fit(
+    theta, curve = descend(
         lambda th: report_of((th[0] - 2.0) ** 2),
         np.array([0.0]),
-        learning_rate=0.05, iterations=120,
+        learning_rate=0.05, step_size=1e-4, iterations=120,
     )
     assert abs(theta[0] - 2.0) < 1e-3
     totals = [r.total for r in curve]
@@ -100,27 +109,29 @@ def test_quadratic_surrogate_converges():
 
 def test_divergence_alarm():
     with pytest.raises(FitDivergedError):
-        fit(
+        descend(
             lambda th: report_of(1.0 + (100.0 * th[0]) ** 2),
             np.array([0.01]),
-            learning_rate=0.05, iterations=3,
+            learning_rate=0.05, step_size=1e-4, iterations=3,
         )
 
 
 def test_parameter_cap_enforced():
     with pytest.raises(ConfigError, match="cap"):
-        fit(lambda th: report_of(0.0), np.zeros(2001), iterations=0)
+        descend(lambda th: report_of(0.0), np.zeros(2001), iterations=0,
+                learning_rate=0.05, step_size=1e-4)
 
 
 def test_initial_non_finite_rejected():
     with pytest.raises(FitError):
-        fit(lambda th: report_of(float("inf")), np.zeros(2), iterations=0)
+        descend(lambda th: report_of(float("inf")), np.zeros(2), iterations=0,
+                learning_rate=0.05, step_size=1e-4)
 
 
 def test_curves_are_reproducible():
-    cfg = dict(learning_rate=0.1, iterations=15)
-    run1 = fit(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), **cfg)
-    run2 = fit(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), **cfg)
+    cfg = dict(learning_rate=0.1, step_size=1e-4, iterations=15)
+    run1 = descend(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), **cfg)
+    run2 = descend(lambda th: report_of(np.sum((th - 1.0) ** 2)), np.zeros(3), **cfg)
     assert np.array_equal(run1[0], run2[0])
     assert [r.total for r in run1[1]] == [r.total for r in run2[1]]
 
@@ -139,6 +150,17 @@ def squares(th):
     return report_of(np.sum(th**2))
 
 
+def forked_gradients(monkeypatch, cpus, loss, thetas):
+    """fd_gradient of ``loss`` at each of ``thetas``, through one ``_forked`` map on ``cpus`` CPUs."""
+    size = thetas[0].size
+
+    def run():
+        with _forked(functools.partial(_fd_pair, loss), 2 * size * len(thetas), size) as pairs:
+            return [fd_gradient(loss, th, 1e-4, pairs=pairs) for th in thetas]
+
+    return with_cpus(monkeypatch, cpus, run)
+
+
 def raised(run):
     """(type, message) of what ``run()`` raises."""
     with pytest.raises(Exception) as info:
@@ -146,22 +168,21 @@ def raised(run):
     return type(info.value), str(info.value)
 
 
-def test_forked_fd_gradient_matches_serial(rng):
+def test_forked_fd_gradient_matches_serial(rng, monkeypatch, forks):
     a = rng.uniform(0.5, 2.0, 7)
     theta = rng.normal(0.0, 1.0, 7)
 
     def loss(th):
         return float(np.sum(a * th * th) + np.sum(np.sin(th)))
 
-    loss = _vector_loss(loss)
-    with _forked(loss, 3) as pool:
-        forked = fd_gradient(loss, theta, 1e-4, pool=pool)
-        again = fd_gradient(loss, theta + 0.5, 1e-4, pool=pool)
+    loss = vector_loss(loss)
+    forked, again = forked_gradients(monkeypatch, 3, loss, [theta, theta + 0.5])
+    assert len(forks) == 3
     assert np.array_equal(forked, fd_gradient(loss, theta))
     assert np.array_equal(again, fd_gradient(loss, theta + 0.5))
 
 
-def test_busy_helper_takes_fewer_coordinates(tmp_path):
+def test_busy_helper_takes_fewer_coordinates(tmp_path, monkeypatch, forks):
     # The first worker to evaluate claims the marker and sleeps at every
     # evaluation; the other does not, so it takes more of the queue.
     marker = tmp_path / "slow"
@@ -181,14 +202,14 @@ def test_busy_helper_takes_fewer_coordinates(tmp_path):
                 f.write("slow\n")
         return float(np.sum(np.cos(th)))
 
-    theta, loss = np.linspace(-1.0, 1.0, 12), _vector_loss(loss)
-    with _forked(loss, 2) as pool:
-        forked = fd_gradient(loss, theta, 1e-4, pool=pool)
+    theta, loss = np.linspace(-1.0, 1.0, 12), vector_loss(loss)
+    [forked] = forked_gradients(monkeypatch, 2, loss, [theta])
+    assert len(forks) == 2
     assert 0 < len(log.read_text(encoding="utf-8").split()) < theta.size
     assert np.array_equal(forked, fd_gradient(loss, theta))
 
 
-def test_workers_ignore_interrupts(tmp_path):
+def test_workers_ignore_interrupts(tmp_path, monkeypatch, forks):
     me = os.getpid()
     log = tmp_path / "handlers"
 
@@ -198,9 +219,8 @@ def test_workers_ignore_interrupts(tmp_path):
                 f.write(f"{signal.getsignal(signal.SIGINT)!r}\n")
         return float(np.sum(th**2))
 
-    loss = _vector_loss(loss)
-    with _forked(loss, 2) as pool:
-        fd_gradient(loss, np.zeros(4), 1e-4, pool=pool)
+    forked_gradients(monkeypatch, 2, vector_loss(loss), [np.zeros(4)])
+    assert len(forks) == 2
     assert log.read_text(encoding="utf-8").splitlines() == [repr(signal.SIG_IGN)] * 8
     assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
@@ -211,11 +231,11 @@ def test_forked_fit_matches_serial(monkeypatch, forks):
     def report_fn(th):
         return report_of(np.sum(a * (th - 1.0) ** 2) + np.sum(np.sin(th)))
 
-    cfg = dict(learning_rate=0.1, iterations=5)
-    serial = with_cpus(monkeypatch, 1, lambda: fit(report_fn, np.zeros(7), **cfg))
+    cfg = dict(learning_rate=0.1, step_size=1e-4, iterations=5)
+    serial = with_cpus(monkeypatch, 1, lambda: descend(report_fn, np.zeros(7), **cfg))
     assert forks == []
     threads = threading.active_count()
-    forked = with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.zeros(7), **cfg))
+    forked = with_cpus(monkeypatch, 3, lambda: descend(report_fn, np.zeros(7), **cfg))
     assert len(forks) == 3
     assert_reaped(forks, threads)
     assert np.array_equal(serial[0], forked[0])
@@ -239,7 +259,7 @@ SMALL = ExperimentConfig(channels=2, height=8, width=8, patch_side=4, reduced_ch
 DEFAULT_GROUPS = tuple(ExperimentConfig().groups.split(","))
 
 
-def test_forked_resumed_gradient_matches_serial():
+def test_forked_resumed_gradient_matches_serial(monkeypatch, forks):
     # The workers keep the centre of theta; at theta + 0.5 each must build
     # its own again.
     model = make_model(SMALL)
@@ -249,11 +269,11 @@ def test_forked_resumed_gradient_matches_serial():
         return report(th).total
 
     theta = pack_params(model, DEFAULT_GROUPS)
-    with _forked(loss, 2) as pool:
-        forked = [fd_gradient(loss, th, 1e-4, pool=pool) for th in (theta, theta + 0.5)]
+    forked = forked_gradients(monkeypatch, 2, loss, [theta, theta + 0.5])
+    assert len(forks) == 2
     for grad, th in zip(forked, (theta, theta + 0.5)):
         assert np.array_equal(grad, fd_gradient(loss, th, 1e-4))
-        assert np.array_equal(grad, fd_gradient(_vector_loss(total), th, 1e-4))
+        assert np.array_equal(grad, fd_gradient(vector_loss(total), th, 1e-4))
 
 
 @pytest.fixture
@@ -365,7 +385,7 @@ def test_forked_fit_names_lowest_bad_coordinate(monkeypatch, forks, bad):
         return report_of(float("nan") if np.any(th[list(bad)] != 0.0) else np.sum(th**2))
 
     def run():
-        return fit(report_fn, np.zeros(6), iterations=1)
+        return descend(report_fn, np.zeros(6), iterations=1, learning_rate=0.05, step_size=1e-4)
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
     threads = threading.active_count()
@@ -385,7 +405,7 @@ def test_forked_fit_passes_loss_errors_on(monkeypatch, forks, error):
         return report_of(np.sum((th - 2.0) ** 2))
 
     def run():
-        return fit(report_fn, np.zeros(6), learning_rate=0.1, iterations=5)
+        return descend(report_fn, np.zeros(6), learning_rate=0.1, step_size=1e-4, iterations=5)
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
     forked = with_cpus(monkeypatch, 3, lambda: raised(run))
@@ -396,10 +416,10 @@ def test_forked_fit_passes_loss_errors_on(monkeypatch, forks, error):
 
 def test_forked_fit_divergence_alarm(monkeypatch, forks):
     def run():
-        return fit(
+        return descend(
             lambda th: report_of(1.0 + np.sum((100.0 * th) ** 2)),
             np.full(4, 0.01),
-            learning_rate=0.05, iterations=3,
+            learning_rate=0.05, step_size=1e-4, iterations=3,
         )
 
     serial = with_cpus(monkeypatch, 1, lambda: raised(run))
@@ -411,20 +431,22 @@ def test_forked_fit_divergence_alarm(monkeypatch, forks):
 @pytest.mark.parametrize("cpus, size, iterations", [(1, 6, 3), (4, 6, 0), (4, 1, 3), (4, 0, 3)])
 def test_fit_forks_nothing_without_shares(monkeypatch, forks, cpus, size, iterations):
     with_cpus(monkeypatch, cpus,
-              lambda: fit(squares, np.ones(size), learning_rate=0.1, iterations=iterations))
+              lambda: descend(squares, np.ones(size), learning_rate=0.1, step_size=1e-4,
+                              iterations=iterations))
     assert forks == []
 
 
 def test_short_fit_forks_nothing(monkeypatch, forks):
     # 2 * 6 parameters * 3 iterations = 36 loss evaluations
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    fit(squares, np.ones(6), learning_rate=0.1, iterations=3)
+    descend(squares, np.ones(6), learning_rate=0.1, step_size=1e-4, iterations=3)
     assert forks == []
 
 
 def test_fit_rejects_bad_step_before_forking(monkeypatch, forks):
     with pytest.raises(ConfigError, match="step_size"):
-        with_cpus(monkeypatch, 4, lambda: fit(squares, np.ones(6), iterations=3, step_size=0.0))
+        with_cpus(monkeypatch, 4, lambda: descend(squares, np.ones(6), iterations=3,
+                                                  learning_rate=0.05, step_size=0.0))
     assert forks == []
 
 
@@ -463,7 +485,8 @@ def test_helper_death_raises_and_leaves_no_child(monkeypatch, forks):
 
     threads = threading.active_count()
     with deadline(60), pytest.raises(ChildProcessError, match="terminated abruptly"):
-        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), iterations=3))
+        with_cpus(monkeypatch, 2, lambda: descend(report_fn, np.ones(6), iterations=3,
+                                                  learning_rate=0.05, step_size=1e-4))
     assert_reaped(forks, threads)
 
 
@@ -480,7 +503,8 @@ def test_interrupt_propagates_and_leaves_no_child(monkeypatch, forks):
 
     threads = threading.active_count()
     with deadline(60), pytest.raises(KeyboardInterrupt):
-        with_cpus(monkeypatch, 3, lambda: fit(report_fn, np.ones(6), iterations=3))
+        with_cpus(monkeypatch, 3, lambda: descend(report_fn, np.ones(6), iterations=3,
+                                                  learning_rate=0.05, step_size=1e-4))
     assert_reaped(forks, threads)
 
 
@@ -499,7 +523,8 @@ def test_interrupt_during_gradient_leaves_no_child(monkeypatch, forks, tmp_path)
 
     threads = threading.active_count()
     with deadline(60), pytest.raises(KeyboardInterrupt):
-        with_cpus(monkeypatch, 2, lambda: fit(report_fn, np.ones(6), iterations=3))
+        with_cpus(monkeypatch, 2, lambda: descend(report_fn, np.ones(6), iterations=3,
+                                                  learning_rate=0.05, step_size=1e-4))
     assert marker.exists()
     assert_reaped(forks, threads)
 

@@ -73,6 +73,30 @@ def test_no_unused_imports():
     assert found - allowed == set()
 
 
+def private_imports(path):
+    """(importing module, imported module, name) of each underscore name ``path`` imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        (path.stem, (node.module or "").removeprefix("diffdecomp."), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_private_imports_are_listed():
+    # One module's private name used by another ties them together; each
+    # such tie is listed here, so a new one is a decision, not a drift.
+    allowed = {
+        ("experiments", "fit", "_forked"),
+        ("experiments", "fit", "_selected_leaves"),
+        ("synth", "core", "_patch_grid"),
+    }
+    found = set().union(*map(private_imports, (ROOT / "src" / "diffdecomp").glob("*.py")))
+    assert found == allowed
+
+
 def test_cli_import_loads_no_process_pool():
     # A fit imports the pool's modules when it forks, so a process that
     # never forks does not pay for them.
